@@ -311,7 +311,7 @@ let pass_schedule =
           (List.length sched.Static_schedule.regions)
           (Static_schedule.static_regions sched)
           (List.length sched.Static_schedule.tables)
-          (100. *. Static_schedule.coverage_bound sched st.st_graph)
+          (100. *. Static_schedule.coverage_bound sched)
           sched.Static_schedule.recorded_firings)
 
 let passes =

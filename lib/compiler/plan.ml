@@ -150,6 +150,6 @@ let pp_explain ppf t =
        (List.length t.schedule.Static_schedule.regions)
        (Static_schedule.static_regions t.schedule)
        (List.length t.schedule.Static_schedule.tables)
-       (100. *. Static_schedule.coverage_bound t.schedule t.graph)
+       (100. *. Static_schedule.coverage_bound t.schedule)
        t.schedule.Static_schedule.recorded_firings);
   Format.fprintf ppf "@]"

@@ -23,11 +23,13 @@ type stats = { hits : int; misses : int; releases : int; live : int }
 let dummy = Image.create Size.one
 
 (* Extents are packed into one immediate int so the shelf lookup allocates
-   nothing. 2^20 rows is far beyond any frame this simulator moves. *)
-let key (s : Size.t) =
-  if s.h >= 1 lsl 20 then
-    invalid_arg (Printf.sprintf "Pool: image height %d too large" s.h);
-  (s.w lsl 20) lor s.h
+   nothing; [release] keys from the image's width and height, never from
+   [Image.size], which would allocate a [Size.t] per call. 2^20 rows is
+   far beyond any frame this simulator moves. *)
+let key w h =
+  if h >= 1 lsl 20 then
+    invalid_arg (Printf.sprintf "Pool: image height %d too large" h);
+  (w lsl 20) lor h
 
 let create () =
   {
@@ -50,7 +52,7 @@ let find_shelf t k =
     | None -> None
 
 let acquire t (s : Size.t) =
-  match find_shelf t (key s) with
+  match find_shelf t (key s.w s.h) with
   | Some shelf when shelf.n > 0 ->
     let i = shelf.n - 1 in
     let img = shelf.items.(i) in
@@ -66,7 +68,7 @@ let acquire t (s : Size.t) =
     Image.create s
 
 let release t img =
-  let k = key (Image.size img) in
+  let k = key (Image.width img) (Image.height img) in
   let shelf =
     match find_shelf t k with
     | Some s -> s

@@ -125,10 +125,13 @@ type gc_snapshot = {
   gc_major_collections : int;
 }
 
+(* Minor words come from [Gc.minor_words], which counts the current minor
+   heap too: on OCaml 5.1, [quick_stat]'s [minor_words] advances only at
+   minor collections, so its deltas are whole minor heaps, or 0. *)
 let gc_snapshot () =
   let s = Gc.quick_stat () in
   {
-    gc_minor_words = s.Gc.minor_words;
+    gc_minor_words = Gc.minor_words ();
     gc_major_words = s.Gc.major_words;
     gc_promoted_words = s.Gc.promoted_words;
     gc_minor_collections = s.Gc.minor_collections;

@@ -74,7 +74,10 @@ type gc_snapshot = {
   gc_minor_collections : int;
   gc_major_collections : int;
 }
-(** A point-in-time reading of [Gc.quick_stat] (cheap; no heap walk). *)
+(** A point-in-time reading of [Gc.quick_stat] (cheap; no heap walk),
+    except [gc_minor_words], read with [Gc.minor_words] so that deltas
+    count words exactly: [quick_stat]'s counter advances only at minor
+    collections. All counters are the calling domain's. *)
 
 val gc_snapshot : unit -> gc_snapshot
 

@@ -300,9 +300,12 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
      would decline (the [starved] oracle contract), so simulated outcomes
      are bit-identical — but observers report *examinations* (state
      intervals, per-attempt block events), which elision would thin out.
-     With any observer present the engine stays fully event-driven. *)
+     With any observer present the engine stays fully event-driven, and
+     so it does for a truncated schedule, which carries no tables. *)
   let static_mode =
-    Option.is_some static_schedule
+    (match static_schedule with
+    | Some s -> not s.Static_schedule.truncated
+    | None -> false)
     && (not (Option.is_some observer))
     && (not (Option.is_some channel_observer))
     && not (Option.is_some state_observer)
@@ -969,7 +972,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           in
           (* A table has one entry per recorded firing but only dozens of
              segments and a handful of distinct shapes, pre-computed by
-             the resolve pass ([e_run], [e_shape]); compile each shape
+             the schedule recorder ([e_run], [e_shape]); compile each shape
              once, emit one (sentry, length) pair per maximal run, and
              nothing in the per-[run] wiring is sized by raw entry
              count. *)

@@ -243,8 +243,10 @@ val run :
     processed) — is bit-identical to the event-driven engine; only the
     [static_*] telemetry fields differ. With any observer installed the schedule is ignored
     and the engine stays fully event-driven, because observers report
-    examinations themselves. See docs/PERFORMANCE.md §"Quasi-static
-    execution". *)
+    examinations themselves. A [truncated] schedule is ignored too: it
+    carries no tables, and the run is bit-identical to one without a
+    schedule, [static_*] fields included. See docs/PERFORMANCE.md
+    §"Quasi-static execution". *)
 
 val utilization : result -> proc:int -> float
 (** [(run+read+write) / duration] for one processor. *)

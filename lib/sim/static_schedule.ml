@@ -5,6 +5,7 @@ module Item = Bp_kernel.Item
 module Behaviour = Bp_kernel.Behaviour
 module Token = Bp_token.Token
 module Image = Bp_image.Image
+module Pool = Bp_image.Pool
 
 (* A quasi-static schedule: per-kernel periodic firing tables recovered by
    an untimed functional execution of the mapped graph (the "recorder"),
@@ -45,8 +46,6 @@ type entry = {
   e_method : string;
   e_pops : (int * item_kind) array;  (* channel id, item kind, pop order *)
   e_pushes : (int * item_kind) array;
-  (* Filled by [resolve] after recording; the recorder leaves the
-     defaults ([||], [||], 1). *)
   e_pop_slots : int array;  (* input port ordinal of each pop *)
   e_push_slots : int array;  (* output port ordinal of each push *)
   e_run : int;  (* length of the identical-firing run starting here *)
@@ -59,6 +58,7 @@ type node_table = {
   t_period : entry array;  (* firings of the second frame: the cycle *)
   t_verified : bool;  (* a third frame repeated the period exactly *)
   t_user_tokens : bool;  (* the node popped or pushed a User token *)
+  t_firings : int;  (* every recorded firing of the node, all frames *)
 }
 
 type region = {
@@ -82,226 +82,302 @@ let empty = {
 
 (* ---- recorder -------------------------------------------------------- *)
 
-(* Untimed functional execution with the real behaviours over bounded
-   queues. Sinks are NOT instantiated — a sink's [make_behaviour] resets
-   the application's shared collector, which must keep belonging to the
-   timed run — their channels are drained raw instead. *)
+(* Untimed functional execution with the real behaviours, on the timed
+   engine's data plane: each channel is a {!Ring}, each node binds its
+   ports once (as [Sim.run]'s [build_io] does), and chunks come from a
+   per-build {!Bp_image.Pool} under the engine's ownership rules, so
+   fan-out channels beyond the first receive pooled copies. Sinks are
+   NOT instantiated — a sink's [make_behaviour] resets the application's
+   shared collector, which must keep belonging to the timed run — their
+   channels are drained raw instead, releasing the data chunks popped.
 
-type rec_chan = {
-  rc_id : int;
-  rc_cap : int;
-  rc_q : Item.t Queue.t;
+   A firing is recorded as one int. Its pops and pushes are packed as
+   [channel index * 4 + kind] into reusable scratch, interned against
+   the node's few distinct shapes, and the shape's index is appended to
+   the node's firing sequence. Tables are then cut from those int
+   sequences; entries that share a shape share its arrays. *)
+
+type ints = { mutable a : int array; mutable n : int }
+
+let ints () = { a = Array.make 64 0; n = 0 }
+
+let add b v =
+  if b.n = Array.length b.a then begin
+    let grown = Array.make (2 * b.n) 0 in
+    Array.blit b.a 0 grown 0 b.n;
+    b.a <- grown
+  end;
+  b.a.(b.n) <- v;
+  b.n <- b.n + 1
+
+let kind_code = function K_data -> 0 | K_eol -> 1 | K_eof -> 2 | K_user -> 3
+let code_kind = [| K_data; K_eol; K_eof; K_user |]
+
+type rec_chan = { ix : int; ring : Item.t Ring.t }
+
+let dummy_item = Item.ctl (Token.eof (-1))
+
+let pack c item = (c.ix lsl 2) lor kind_code (kind_of_item item)
+
+type shape = {
+  s_method : string;
+  s_pops : int array;  (* packed, pop order *)
+  s_pushes : int array;
 }
 
-let entry_equal a b =
-  String.equal a.e_method b.e_method
-  && a.e_pops = b.e_pops && a.e_pushes = b.e_pushes
+type rec_node = {
+  rn_node : Graph.node;
+  rn_pops : ints;  (* the current firing's packed pops *)
+  rn_pushes : ints;
+  mutable rn_shapes : shape array;  (* first-occurrence order *)
+  rn_seq : ints;  (* shape index of every firing *)
+}
 
-let segment_at_eof entries =
-  (* Split the firing sequence after each firing that consumed an
-     end-of-frame token; the trailing partial segment (if any) is
-     dropped. *)
-  let segs = ref [] and cur = ref [] in
-  List.iter
-    (fun e ->
-      cur := e :: !cur;
-      if Array.exists (fun (_, k) -> k = K_eof) e.e_pops then begin
-        segs := Array.of_list (List.rev !cur) :: !segs;
-        cur := []
-      end)
-    entries;
-  List.rev !segs
+let rec same_ints a b i = i = b.n || (a.(i) = b.a.(i) && same_ints a b (i + 1))
+
+let matches r s meth =
+  String.equal s.s_method meth
+  && Array.length s.s_pops = r.rn_pops.n
+  && Array.length s.s_pushes = r.rn_pushes.n
+  && same_ints s.s_pops r.rn_pops 0
+  && same_ints s.s_pushes r.rn_pushes 0
+
+let rec shape_index r meth i =
+  let k = Array.length r.rn_shapes in
+  if i = k then begin
+    let s =
+      {
+        s_method = meth;
+        s_pops = Array.sub r.rn_pops.a 0 r.rn_pops.n;
+        s_pushes = Array.sub r.rn_pushes.a 0 r.rn_pushes.n;
+      }
+    in
+    r.rn_shapes <- Array.append r.rn_shapes [| s |];
+    k
+  end
+  else if matches r r.rn_shapes.(i) meth then i
+  else shape_index r meth (i + 1)
+
+(* Most firings repeat their predecessor's shape: try it first. *)
+let intern r meth =
+  let last = if r.rn_seq.n = 0 then -1 else r.rn_seq.a.(r.rn_seq.n - 1) in
+  add r.rn_seq
+    (if last >= 0 && matches r r.rn_shapes.(last) meth then last
+     else shape_index r meth 0)
+
+let rec find_port (n : Graph.node) what a port i =
+  if i >= Array.length a then
+    Err.graphf "schedule recorder: %s: no %s channel %S" n.Graph.name what port
+  else
+    let name, c = a.(i) in
+    if String.equal name port then c else find_port n what a port (i + 1)
+
+(* Cut one node's firing sequence into its table. Frames end just past
+   each firing that popped an end-of-frame token: the first frame is the
+   prelude, the second the period, and a third verifies the period; a
+   trailing partial frame is dropped. [e_run] is swept backwards within
+   each segment, and [e_shape] is the interned index — first-occurrence
+   order over the prelude and period, which are a prefix of the
+   sequence. *)
+let table_of (chans : Graph.channel array) r =
+  let seq = r.rn_seq.a and len = r.rn_seq.n in
+  let spec = r.rn_node.Graph.spec in
+  let has k codes = Array.exists (fun c -> c land 3 = kind_code k) codes in
+  let proto i s =
+    let side slot codes =
+      ( Array.map
+          (fun c -> (chans.(c lsr 2).Graph.chan_id, code_kind.(c land 3)))
+          codes,
+        Array.map (fun c -> slot chans.(c lsr 2)) codes )
+    in
+    let pops, pop_slots =
+      side (fun c -> Spec.input_ordinal spec c.Graph.dst.Graph.port) s.s_pops
+    and pushes, push_slots =
+      side
+        (fun c -> Spec.output_ordinal spec c.Graph.src.Graph.port)
+        s.s_pushes
+    in
+    { e_method = s.s_method; e_pops = pops; e_pushes = pushes;
+      e_pop_slots = pop_slots; e_push_slots = push_slots; e_run = 1;
+      e_shape = i }
+  in
+  let protos = Array.mapi proto r.rn_shapes in
+  let eof = Array.map (fun s -> has K_eof s.s_pops) r.rn_shapes in
+  let ends = Array.make 3 len and nends = ref 0 and i = ref 0 in
+  while !nends < 3 && !i < len do
+    if eof.(seq.(!i)) then begin
+      ends.(!nends) <- !i + 1;
+      incr nends
+    end;
+    incr i
+  done;
+  let segment lo hi =
+    let out = Array.make (hi - lo) protos.(seq.(lo)) and run = ref 0 in
+    for i = hi - 1 downto lo do
+      run := if i + 1 < hi && seq.(i + 1) = seq.(i) then !run + 1 else 1;
+      out.(i - lo) <- { (protos.(seq.(i))) with e_run = !run }
+    done;
+    out
+  in
+  let b1 = ends.(0) and b2 = ends.(1) in
+  let rec same k =
+    k = b2 - b1 || (seq.(b1 + k) = seq.(b2 + k) && same (k + 1))
+  in
+  {
+    t_node = r.rn_node.Graph.id;
+    t_prelude = segment 0 b1;
+    t_period = (if !nends >= 2 then segment b1 b2 else [||]);
+    t_verified = !nends = 3 && ends.(2) - b2 = b2 - b1 && same 0;
+    t_user_tokens =
+      Array.exists (fun s -> has K_user s.s_pops || has K_user s.s_pushes)
+        r.rn_shapes;
+    t_firings = len;
+  }
 
 let record ?(max_firings = 5_000_000) g =
-  let chans = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Graph.channel) ->
-      Hashtbl.replace chans c.Graph.chan_id
-        { rc_id = c.Graph.chan_id; rc_cap = c.Graph.capacity;
-          rc_q = Queue.create () })
-    (Graph.channels g);
-  let chan id = Hashtbl.find chans id in
+  let pool = Pool.create () in
+  let chans = Array.of_list (Graph.channels g) in
+  let by_id = Hashtbl.create 64 in
+  Array.iteri
+    (fun ix (c : Graph.channel) ->
+      Hashtbl.replace by_id c.Graph.chan_id
+        { ix; ring = Ring.create ~capacity:c.Graph.capacity ~dummy:dummy_item })
+    chans;
+  let chan (c : Graph.channel) = Hashtbl.find by_id c.Graph.chan_id in
   let nodes =
     List.sort (fun (a : Graph.node) b -> compare a.Graph.id b.Graph.id)
       (Graph.nodes g)
   in
+  let is_sink (n : Graph.node) = n.Graph.spec.Spec.role = Spec.Sink in
   let total = ref 0 and truncated = ref false in
-  let firings : (Graph.node_id, entry list ref) Hashtbl.t =
-    Hashtbl.create 16
-  in
   (* Per-node untimed stepper: behaviour + recording io. *)
+  let stepper (n : Graph.node) =
+    let r =
+      { rn_node = n; rn_pops = ints (); rn_pushes = ints ();
+        rn_shapes = [||]; rn_seq = ints () }
+    in
+    let ins =
+      Array.of_list
+        (List.map
+           (fun (c : Graph.channel) -> (c.Graph.dst.Graph.port, chan c))
+           (Graph.in_channels g n.Graph.id))
+    in
+    let outs =
+      Array.of_list
+        (List.map
+           (fun (p : Bp_kernel.Port.t) ->
+             ( p.Bp_kernel.Port.name,
+               Array.of_list
+                 (List.map chan
+                    (Graph.out_channels g n.Graph.id
+                       ~port:p.Bp_kernel.Port.name ())) ))
+           n.Graph.spec.Spec.outputs)
+    in
+    let input port = find_port n "input" ins port 0
+    and output port = find_port n "output" outs port 0 in
+    let io =
+      {
+        Behaviour.peek =
+          (fun port ->
+            let c = input port in
+            if Ring.is_empty c.ring then None else Some (Ring.peek c.ring));
+        pop =
+          (fun port ->
+            let c = input port in
+            let item = Ring.pop c.ring in
+            add r.rn_pops (pack c item);
+            item);
+        push =
+          (fun port item ->
+            let cs = output port in
+            for i = 0 to Array.length cs - 1 do
+              let c = cs.(i) in
+              if Ring.is_full c.ring then
+                Err.graphf "schedule recorder: %s: push past capacity on %S"
+                  n.Graph.name port;
+              let item =
+                match item with
+                | Item.Data img when i > 0 ->
+                  let d = Pool.acquire pool (Image.size img) in
+                  Image.blit ~src:img ~dst:d ~x:0 ~y:0;
+                  Item.data d
+                | _ -> item
+              in
+              Ring.push c.ring item;
+              add r.rn_pushes (pack c item)
+            done);
+        space =
+          (fun port ->
+            let cs = output port and free = ref max_int in
+            for i = 0 to Array.length cs - 1 do
+              let s = Ring.space cs.(i).ring in
+              if s < !free then free := s
+            done;
+            !free);
+        acquire = Pool.acquire pool;
+        release = Pool.release pool;
+        has_input = (fun port -> not (Ring.is_empty (input port).ring));
+      }
+    in
+    let behaviour = n.Graph.spec.Spec.make_behaviour () in
+    let step () =
+      r.rn_pops.n <- 0;
+      r.rn_pushes.n <- 0;
+      match behaviour.Behaviour.try_step io with
+      | None -> false
+      | Some f ->
+        incr total;
+        intern r f.Behaviour.method_name;
+        true
+    in
+    (r, step)
+  in
   let steppers =
     List.filter_map
-      (fun (n : Graph.node) ->
-        if n.Graph.spec.Spec.role = Spec.Sink then None
-        else begin
-          let in_chans =
-            List.map
-              (fun (c : Graph.channel) ->
-                (c.Graph.dst.Graph.port, chan c.Graph.chan_id))
-              (Graph.in_channels g n.Graph.id)
-          in
-          let out_chans =
-            List.map
-              (fun (p : Bp_kernel.Port.t) ->
-                ( p.Bp_kernel.Port.name,
-                  List.map
-                    (fun (c : Graph.channel) -> chan c.Graph.chan_id)
-                    (Graph.out_channels g n.Graph.id
-                       ~port:p.Bp_kernel.Port.name ()) ))
-              n.Graph.spec.Spec.outputs
-          in
-          let find what l port =
-            match List.assoc_opt port l with
-            | Some c -> c
-            | None ->
-              Err.graphf "schedule recorder: %s: no %s channel %S"
-                n.Graph.name what port
-          in
-          let pops = ref [] and pushes = ref [] in
-          let io =
-            {
-              Behaviour.peek =
-                (fun port ->
-                  Queue.peek_opt (find "input" in_chans port).rc_q);
-              pop =
-                (fun port ->
-                  let c = find "input" in_chans port in
-                  let item = Queue.pop c.rc_q in
-                  pops := (c.rc_id, kind_of_item item) :: !pops;
-                  item);
-              push =
-                (fun port item ->
-                  List.iter
-                    (fun c ->
-                      if Queue.length c.rc_q >= c.rc_cap then
-                        Err.graphf
-                          "schedule recorder: %s: push past capacity on %S"
-                          n.Graph.name port;
-                      Queue.push item c.rc_q;
-                      pushes := (c.rc_id, kind_of_item item) :: !pushes)
-                    (find "output" out_chans port));
-              space =
-                (fun port ->
-                  match find "output" out_chans port with
-                  | [] -> max_int
-                  | cs ->
-                    List.fold_left
-                      (fun acc c -> min acc (c.rc_cap - Queue.length c.rc_q))
-                      max_int cs);
-              acquire = Image.create;
-              release = (fun _ -> ());
-              has_input =
-                (fun port ->
-                  not (Queue.is_empty (find "input" in_chans port).rc_q));
-            }
-          in
-          let behaviour = n.Graph.spec.Spec.make_behaviour () in
-          let recorded = ref [] in
-          Hashtbl.replace firings n.Graph.id recorded;
-          let step () =
-            pops := [];
-            pushes := [];
-            match behaviour.Behaviour.try_step io with
-            | None -> false
-            | Some f ->
-              incr total;
-              recorded :=
-                {
-                  e_method = f.Behaviour.method_name;
-                  e_pops = Array.of_list (List.rev !pops);
-                  e_pushes = Array.of_list (List.rev !pushes);
-                  e_pop_slots = [||];
-                  e_push_slots = [||];
-                  e_run = 1;
-                  e_shape = 0;
-                }
-                :: !recorded;
-              true
-          in
-          Some step
-        end)
+      (fun n -> if is_sink n then None else Some (stepper n))
       nodes
   in
   (* Raw sink drains: consume everything queued on a sink's inputs. *)
-  let sink_drains =
-    List.filter_map
+  let sink_ins =
+    List.concat_map
       (fun (n : Graph.node) ->
-        if n.Graph.spec.Spec.role <> Spec.Sink then None
-        else
-          let ins =
-            List.map
-              (fun (c : Graph.channel) -> chan c.Graph.chan_id)
-              (Graph.in_channels g n.Graph.id)
-          in
-          Some
-            (fun () ->
-              List.fold_left
-                (fun acc c ->
-                  let drained = Queue.length c.rc_q > 0 in
-                  Queue.clear c.rc_q;
-                  acc || drained)
-                false ins))
+        if is_sink n then List.map chan (Graph.in_channels g n.Graph.id)
+        else [])
       nodes
   in
+  let drain progress c =
+    let drained = not (Ring.is_empty c.ring) in
+    while not (Ring.is_empty c.ring) do
+      match Ring.pop c.ring with
+      | Item.Data img -> Pool.release pool img
+      | Item.Ctl _ -> ()
+    done;
+    progress || drained
+  in
   (* Round-robin to quiescence: each sweep gives every node a
-     fire-to-exhaustion turn (bounded queues keep any one turn finite). *)
+     fire-to-exhaustion turn (bounded rings keep any one turn finite). *)
   let progress = ref true in
   while !progress && not !truncated do
     progress := false;
     List.iter
-      (fun step ->
+      (fun (_, step) ->
         while (not !truncated) && step () do
           progress := true;
           if !total > max_firings then truncated := true
         done)
       steppers;
-    List.iter (fun drain -> if drain () then progress := true) sink_drains
+    progress := List.fold_left drain !progress sink_ins
   done;
   if !truncated then { empty with truncated = true; recorded_firings = !total }
-  else begin
+  else
     let tables =
       List.filter_map
-        (fun (n : Graph.node) ->
-          match Hashtbl.find_opt firings n.Graph.id with
-          | None -> None
-          | Some { contents = [] } -> None
-          | Some recorded ->
-            let entries = List.rev !recorded in
-            let user =
-              List.exists
-                (fun e ->
-                  Array.exists (fun (_, k) -> k = K_user) e.e_pops
-                  || Array.exists (fun (_, k) -> k = K_user) e.e_pushes)
-                entries
-            in
-            let prelude, period, verified =
-              match segment_at_eof entries with
-              | s1 :: s2 :: rest ->
-                let verified =
-                  match rest with
-                  | s3 :: _ ->
-                    Array.length s2 = Array.length s3
-                    && Array.for_all2 entry_equal s2 s3
-                  | [] -> false
-                in
-                (s1, s2, verified)
-              | [ s1 ] -> (s1, [||], false)
-              | [] -> (Array.of_list entries, [||], false)
-            in
-            Some
-              ( n.Graph.id,
-                {
-                  t_node = n.Graph.id;
-                  t_prelude = prelude;
-                  t_period = period;
-                  t_verified = verified;
-                  t_user_tokens = user;
-                } ))
-        nodes
+        (fun (r, _) ->
+          if r.rn_seq.n = 0 then None
+          else Some (r.rn_node.Graph.id, table_of chans r))
+        steppers
     in
     { empty with tables; recorded_firings = !total }
-  end
 
 (* ---- region partition ------------------------------------------------ *)
 
@@ -388,79 +464,12 @@ let partition g sched =
     (List.map (fun m -> (true, m)) static_regions
     @ List.map (fun m -> (false, m)) dynamic_regions)
 
-(* ---- slot resolution ------------------------------------------------- *)
-
-(* Rewrite each table entry's channel references as kernel port ordinals —
-   the slot indices of {!Bp_kernel.Behaviour.indexed} — and annotate it
-   with the length of the maximal run of identical firings starting at
-   it, so the timed engine dispatches without any name lookup and can arm
-   a whole run from one guard validation. Runs never cross the prelude/
-   period boundary (each segment is swept independently, no wrap). *)
-let resolve g sched =
-  let port_of_chan = Hashtbl.create 64 in
-  List.iter
-    (fun (c : Graph.channel) ->
-      Hashtbl.replace port_of_chan c.Graph.chan_id
-        (c.Graph.src.Graph.port, c.Graph.dst.Graph.port))
-    (Graph.channels g);
-  let resolve_node (id, tbl) =
-    let spec = (Graph.node g id).Graph.spec in
-    let pop_slot (cid, _) =
-      Spec.input_ordinal spec (snd (Hashtbl.find port_of_chan cid))
-    in
-    let push_slot (cid, _) =
-      Spec.output_ordinal spec (fst (Hashtbl.find port_of_chan cid))
-    in
-    (* Shape numbering, shared by prelude and period: entries with the
-       same (method, pops, pushes) footprint get the same index, assigned
-       in first-occurrence order (prelude first), so the table carries at
-       most a handful of shapes and the engine can compile each once per
-       run instead of once per entry. *)
-    let shapes = ref [] and nshapes = ref 0 in
-    let shape_of e =
-      let rec find i = function
-        | [] ->
-          shapes := e :: !shapes;
-          incr nshapes;
-          !nshapes - 1
-        | e' :: rest -> if entry_equal e' e then i else find (i - 1) rest
-      in
-      find (!nshapes - 1) !shapes
-    in
-    let resolve_seg entries =
-      let n = Array.length entries in
-      let out =
-        Array.map
-          (fun e ->
-            {
-              e with
-              e_pop_slots = Array.map pop_slot e.e_pops;
-              e_push_slots = Array.map push_slot e.e_pushes;
-              e_shape = shape_of e;
-            })
-          entries
-      in
-      (* Backward sweep over the raw entries: [e_run] counts consecutive
-         firings with the same method and channel/kind footprint. *)
-      for i = n - 2 downto 0 do
-        if entry_equal entries.(i) entries.(i + 1) then
-          out.(i) <- { (out.(i)) with e_run = out.(i + 1).e_run + 1 }
-      done;
-      out
-    in
-    let prelude = resolve_seg tbl.t_prelude in
-    let period = resolve_seg tbl.t_period in
-    (id, { tbl with t_prelude = prelude; t_period = period })
-  in
-  { sched with tables = List.map resolve_node sched.tables }
-
 (* ---- construction ---------------------------------------------------- *)
 
 let build ?max_firings ~graph ~mapping () =
   let sched = record ?max_firings graph in
   if sched.truncated then sched
   else begin
-    let sched = resolve graph sched in
     let regions = partition graph sched in
     let static_ids = Hashtbl.create 16 in
     List.iter
@@ -491,22 +500,17 @@ let static_node_ids t =
 let static_regions t =
   List.length (List.filter (fun r -> r.r_static) t.regions)
 
-let coverage_bound t g =
-  (* Fraction of recorded firings that belong to static-region nodes — an
-     upper bound on the runtime static coverage the executor can report. *)
-  ignore g;
+let coverage_bound t =
+  (* Fraction of recorded firings made by static-region nodes, over every
+     recorded frame — an upper bound on the runtime static coverage the
+     executor can report. *)
   if t.recorded_firings = 0 then 0.
   else begin
-    let static_ids = Hashtbl.create 16 in
-    List.iter (fun id -> Hashtbl.replace static_ids id ()) (static_node_ids t);
+    let static_ids = static_node_ids t in
     let static_fires =
       List.fold_left
         (fun acc (id, tbl) ->
-          if Hashtbl.mem static_ids id then
-            acc
-            + (Array.length tbl.t_prelude * 1)
-            + Array.length tbl.t_period
-          else acc)
+          if List.mem id static_ids then acc + tbl.t_firings else acc)
         0 t.tables
     in
     float_of_int static_fires /. float_of_int t.recorded_firings

@@ -26,6 +26,13 @@ val kind_of_item : Bp_kernel.Item.t -> item_kind
 (** The table classification of a queued item — what the engine's
     scripted-firing guard compares ring fronts against. *)
 
+(** One recorded firing. The recorder runs the real behaviours on the
+    timed engine's data plane: one {!Ring} per channel, ports bound once
+    per node, chunks from a per-build {!Bp_image.Pool} with pooled copies
+    on fan-out channels beyond the first. Each firing is interned against
+    its node's few distinct (method, pops, pushes) shapes, and every
+    field below is computed from those shapes when the tables are cut.
+    Entries that share a shape share its four arrays. *)
 type entry = {
   e_method : string;  (** Method the firing executed. *)
   e_pops : (int * item_kind) array;
@@ -36,8 +43,7 @@ type entry = {
       (** Input port ordinal of each pop ({!Bp_kernel.Spec.input_ordinal}
           of the popped channel's destination port) — the slot indices the
           engine hands to {!Bp_kernel.Behaviour.indexed.fire_indexed}.
-          Aligned with [e_pops]; filled by the [resolve] step inside
-          {!build} (the raw recorder leaves [[||]]). *)
+          Aligned with [e_pops]. *)
   e_push_slots : int array;
       (** Output port ordinal of each push, aligned with [e_pushes].
           Fan-out copies of one push repeat the same ordinal. *)
@@ -45,15 +51,13 @@ type entry = {
       (** Length of the maximal run of consecutive identical firings
           (same method and channel/kind footprint) starting at this
           entry, within its prelude or period segment — one guard
-          validation by the engine arms the whole run. Always [>= 1];
-          [1] before [resolve]. *)
+          validation by the engine arms the whole run. Always [>= 1]. *)
   e_shape : int;
       (** Index of this entry's distinct (method, pops, pushes) shape
           within its node's table, assigned in first-occurrence order
           (prelude before period, shared numbering). A table holds at
           most a handful of shapes, so the engine compiles each shape's
-          slot bindings once per run and indexes them per entry. [0]
-          before [resolve]. *)
+          slot bindings once per run and indexes them per entry. *)
 }
 
 type node_table = {
@@ -68,6 +72,9 @@ type node_table = {
   t_user_tokens : bool;
       (** The node popped or pushed a [User] control token — it is
           excluded from static regions. *)
+  t_firings : int;
+      (** Every firing the recorder saw the node make, over all recorded
+          frames — not only the prelude and period. *)
 }
 
 type region = {
@@ -115,9 +122,11 @@ val static_node_ids : t -> Bp_graph.Graph.node_id list
 val static_regions : t -> int
 (** Number of static regions. *)
 
-val coverage_bound : t -> Bp_graph.Graph.t -> float
-(** Fraction of recorded firings belonging to static-region nodes — the
-    upper bound on the runtime static coverage a run can report. *)
+val coverage_bound : t -> float
+(** Fraction of recorded firings made by static-region nodes, summing
+    each one's [t_firings] over all recorded frames — an upper bound on
+    the runtime static coverage ([static_fired / fires]) a run can
+    report. *)
 
 val pp : Bp_graph.Graph.t -> Format.formatter -> t -> unit
 (** The [--dump-after schedule] rendering: regions, per-PE projections,

@@ -10,6 +10,9 @@
      the untimed recorder's tables always match the timed run;
    - schedule regions partition the mapped graph (every node in exactly
      one region) and recompiling yields an identical artifact;
+   - the recorder and the timed engine agree on every non-sink node's
+     firing count, and the coverage bound bounds the runtime coverage;
+   - a truncated recording is empty and leaves a run unchanged;
    - a hand-built three-kernel chain has the firing table one can derive
      on paper. *)
 
@@ -63,6 +66,92 @@ let test_static_vs_dynamic_differential () =
     Apps.Suite.labels;
   Alcotest.(check bool) "suite exercises the firing tables" true !any_static
 
+(* One quasi-static run per suite entry and policy, shared by the
+   recorder-vs-engine tests below. *)
+let suite_runs =
+  lazy
+    (List.concat_map
+       (fun label ->
+         List.map
+           (fun policy ->
+             let _, plan = compile_suite_entry label in
+             ( Printf.sprintf "%s/%s" label (Plan.policy_name policy),
+               plan,
+               Plan.run_plan ~policy plan () ))
+           [ Plan.One_to_one; Plan.Greedy ])
+       Apps.Suite.labels)
+
+(* Kahn determinism across the two layers: the untimed recorder and the
+   timed engine see every non-sink node fire the same number of times
+   (sinks are drained raw by the recorder, so they never count). *)
+let test_recorder_matches_engine () =
+  List.iter
+    (fun (tag, (plan : Pipeline.t), (r : Sim.result)) ->
+      let sched = plan.Pipeline.schedule in
+      let engine_fires =
+        List.fold_left
+          (fun acc (id, (ns : Sim.node_stats)) ->
+            let node = Graph.node plan.Pipeline.graph id in
+            match node.Graph.spec.Kernel.role with
+            | Kernel.Sink -> acc
+            | _ ->
+              let recorded =
+                match Static_schedule.table sched id with
+                | Some t -> t.Static_schedule.t_firings
+                | None -> 0
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s fires as often as recorded" tag
+                   node.Graph.name)
+                recorded ns.Sim.node_fires;
+              acc + ns.Sim.node_fires)
+          0 r.Sim.node_stats
+      in
+      Alcotest.(check int)
+        (tag ^ ": recorded firings = engine firings of non-sink nodes")
+        sched.Static_schedule.recorded_firings engine_fires)
+    (Lazy.force suite_runs)
+
+let test_coverage_bound_holds () =
+  List.iter
+    (fun (tag, (plan : Pipeline.t), (r : Sim.result)) ->
+      let fires =
+        List.fold_left
+          (fun acc (_, (ns : Sim.node_stats)) -> acc + ns.Sim.node_fires)
+          0 r.Sim.node_stats
+      in
+      let coverage = float_of_int r.Sim.static_fired /. float_of_int fires in
+      let bound = Static_schedule.coverage_bound plan.Pipeline.schedule in
+      if coverage > bound then
+        Alcotest.failf "%s: runtime static coverage %.4f above the bound %.4f"
+          tag coverage bound)
+    (Lazy.force suite_runs)
+
+(* The recorder's firing cap: past it the artifact is empty and the
+   engine must behave exactly as if no schedule had been supplied. *)
+let test_truncated_schedule () =
+  let e = Apps.Suite.by_label "SS" in
+  let _, plan = compile_suite_entry "SS" in
+  let graph = plan.Pipeline.graph in
+  let mapping = Pipeline.mapping_one_to_one plan in
+  let sched = Static_schedule.build ~max_firings:100 ~graph ~mapping () in
+  Alcotest.(check bool) "truncated" true sched.Static_schedule.truncated;
+  Alcotest.(check int) "firings counted up to the cap" 101
+    sched.Static_schedule.recorded_firings;
+  Alcotest.(check bool) "no tables, regions or projections" true
+    (sched.Static_schedule.tables = []
+    && sched.Static_schedule.regions = []
+    && sched.Static_schedule.by_proc = []);
+  let run ?static_schedule () =
+    Sim.run ?static_schedule ~graph ~mapping ~machine:e.Apps.Suite.machine ()
+  in
+  let plain = run () and st = run ~static_schedule:sched () in
+  Alcotest.(check bool) "run bit-identical to one without a schedule" true
+    (plain = st);
+  Alcotest.(check int) "no static telemetry" 0
+    (st.Sim.static_regions + st.Sim.static_fired + st.Sim.static_indexed_fired
+    + st.Sim.static_fallback_events + st.Sim.static_elided_events)
+
 let test_region_partition_invariant () =
   List.iter
     (fun label ->
@@ -101,7 +190,7 @@ let test_region_partition_invariant () =
         (label ^ ": static_node_ids lists exactly the static regions")
         (List.sort compare static_members)
         (List.sort compare (Static_schedule.static_node_ids sched));
-      let cov = Static_schedule.coverage_bound sched graph in
+      let cov = Static_schedule.coverage_bound sched in
       Alcotest.(check bool)
         (label ^ ": coverage bound within [0,1]")
         true
@@ -338,4 +427,10 @@ let suite =
       `Quick test_known_answer_chain;
     Alcotest.test_case "sweep path bit-identical with static on/off" `Quick
       test_sweep_static_differential;
+    Alcotest.test_case "recorder and engine agree on firing counts" `Slow
+      test_recorder_matches_engine;
+    Alcotest.test_case "coverage bound bounds the runtime coverage" `Slow
+      test_coverage_bound_holds;
+    Alcotest.test_case "truncated schedule: empty, engine unaffected" `Quick
+      test_truncated_schedule;
   ]
