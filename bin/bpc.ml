@@ -682,11 +682,10 @@ let rate_search_cmd =
       (build_app app ~frame ~rate:(Rate.hz rate_hz) ~n_frames:frames)
         .App.graph
     in
-    ignore (policy_of policy);
     let r =
       Bp_compiler.Sweep.with_pool ~domains:jobs @@ fun pool ->
-      Bp_compiler.Rate_search.search ~pool ~machine ~max_pes:pes ~greedy
-        build
+      Bp_compiler.Rate_search.search ~pool ~align_policy:(policy_of policy)
+        ~machine ~max_pes:pes ~greedy build
     in
     List.iter
       (fun (p : Bp_compiler.Rate_search.probe) ->

@@ -314,7 +314,10 @@ let pass_schedule =
           (100. *. Static_schedule.coverage_bound sched)
           sched.Static_schedule.recorded_firings)
 
-let passes =
+(* The sizing prefix, passes 1-8: everything the Section V PE counts and
+   the Section IV verdict depend on. [size] stops here; [compile] goes on
+   to place and schedule. *)
+let sizing_passes =
   [
     pass_validate;
     pass_analyze_pre;
@@ -324,12 +327,11 @@ let passes =
     pass_analyze_post;
     pass_schedulability;
     pass_map;
-    pass_place;
-    pass_schedule;
   ]
 
-let compile ?align_policy ?diags ?after_pass ~machine g =
-  let diags = match diags with Some d -> d | None -> Diag.buffer () in
+let passes = sizing_passes @ [ pass_place; pass_schedule ]
+
+let run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes =
   let st =
     {
       st_graph = g;
@@ -350,15 +352,22 @@ let compile ?align_policy ?diags ?after_pass ~machine g =
       st_schedule = None;
     }
   in
+  Pass.run_all ~graph:(fun st -> st.st_graph) ~diags ~timings ?after_pass st
+    passes;
+  st
+
+let require what = function
+  | Some v -> v
+  | None -> Err.graphf "internal: compile finished without %s" what
+
+let compile ?align_policy ?diags ?after_pass ~machine g =
+  let diags = match diags with Some d -> d | None -> Diag.buffer () in
   let timings = ref [] in
   let after_pass =
     Option.map (fun f ~pass st -> f ~pass st.st_graph) after_pass
   in
-  Pass.run_all ~graph:(fun st -> st.st_graph) ~diags ~timings ?after_pass st
-    passes;
-  let require what = function
-    | Some v -> v
-    | None -> Err.graphf "internal: compile finished without %s" what
+  let st =
+    run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes
   in
   {
     graph = g;
@@ -388,6 +397,23 @@ let compile ?align_policy ?diags ?after_pass ~machine g =
     schedule = require "a schedule" st.st_schedule;
     diagnostics = Diag.list diags;
     timings = !timings;
+  }
+
+type sizing = {
+  one_to_one_pes : int;
+  greedy_pes : int;
+  schedulability : Schedulability.t;
+}
+
+let size ?align_policy ~machine g =
+  let st =
+    run_passes ?align_policy ~diags:(Diag.buffer ()) ~timings:(ref [])
+      ~machine g sizing_passes
+  in
+  {
+    one_to_one_pes = List.length st.st_one_groups;
+    greedy_pes = List.length st.st_greedy_groups;
+    schedulability = require "a schedulability report" st.st_sched;
   }
 
 (* ---- the pre-plan execution path (kept verbatim) ----------------------- *)

@@ -32,6 +32,9 @@
       partition the node set exactly. The artifact drives the
       simulator's quasi-static executor and [--dump-after schedule].
 
+    Passes 1–8 are the sizing prefix: they alone decide the PE counts
+    and the schedulability verdict, and {!size} runs just them.
+
     Each pass is timed with the monotonic clock and checked by its
     post-invariants at the pass barrier — see {!Pass}. Failures carry
     the failing pass's name and leave partial timings and an error
@@ -81,6 +84,33 @@ val compile :
     an error entry naming the pass that failed. [after_pass] is invoked
     with the graph after every successful pass barrier — the
     [bpc compile --dump-after] hook. *)
+
+(** {1 Sizing without a plan} *)
+
+type sizing = {
+  one_to_one_pes : int;  (** Processors the 1:1 mapping wants. *)
+  greedy_pes : int;
+      (** Processors the greedy mapping wants, regardless of the
+          machine bound. *)
+  schedulability : Bp_transform.Schedulability.t;
+      (** The static a-priori argument (Section IV). *)
+}
+(** What a rate probe reads: the two PE counts {!Plan.processors_needed}
+    would report and the plan's schedulability report. *)
+
+val size :
+  ?align_policy:Bp_transform.Align.policy ->
+  machine:Bp_machine.Machine.t ->
+  Bp_graph.Graph.t ->
+  sizing
+(** [size ~machine g] runs only the sizing prefix, passes 1–8
+    ([validate] … [map]), in place on [g], and skips [place] and
+    [schedule]. The prefix is the same pass list [compile] starts with
+    and runs through the same {!Pass.run_all} barrier, so its
+    invariants, error classes and pass-name wrapping are those of
+    [compile]; a graph on which [compile] would fail within the first
+    eight passes fails here with the same {!Bp_util.Err.t}. This is
+    the probe {!Rate_search} runs at each rate. *)
 
 (** {1 The pre-plan execution path}
 

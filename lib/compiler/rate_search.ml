@@ -3,28 +3,23 @@ module Schedulability = Bp_transform.Schedulability
 
 type probe = { rate_hz : float; pes : int; fits : bool }
 
-let policy_of_greedy greedy = if greedy then Plan.Greedy else Plan.One_to_one
-
 type result = {
   best_rate_hz : float;
   best_pes : int;
   probes : probe list;
 }
 
-let try_rate ~machine ~max_pes ~greedy build rate_hz =
+let try_rate ?align_policy ~machine ~max_pes ~greedy build rate_hz =
   match
     Bp_util.Err.guard (fun () ->
-        let g = build ~rate_hz in
-        let compiled = Pipeline.compile ~machine g in
-        let pes =
-          Plan.processors_needed compiled ~policy:(policy_of_greedy greedy)
-        in
-        (* The schedulability pass already ran inside [compile]; read the
-           plan's verdict instead of re-deriving it. *)
-        (pes, compiled.Plan.schedulability.Schedulability.schedulable))
+        Pipeline.size ?align_policy ~machine (build ~rate_hz))
   with
-  | Ok (pes, schedulable) ->
-    { rate_hz; pes; fits = (schedulable && pes <= max_pes) }
+  | Ok s ->
+    let pes =
+      if greedy then s.Pipeline.greedy_pes else s.Pipeline.one_to_one_pes
+    in
+    let schedulable = s.Pipeline.schedulability.Schedulability.schedulable in
+    { rate_hz; pes; fits = schedulable && pes <= max_pes }
   | Error _ -> { rate_hz; pes = max_int; fits = false }
 
 (* The speculative frontier: every rate the bisection might probe within
@@ -52,10 +47,11 @@ let frontier ~lo ~hi ~limit =
   collect [] limit
 
 let search ?(lo_hz = 1.) ?(hi_hz = 1000.) ?(iterations = 12) ?(greedy = true)
-    ?pool ~machine ~max_pes build =
+    ?align_policy ?pool ~machine ~max_pes build =
   if lo_hz <= 0. || hi_hz <= lo_hz then
     Bp_util.Err.invalidf "rate search needs 0 < lo < hi";
   let slots = match pool with None -> 1 | Some p -> Sweep.domains p in
+  let try_rate = try_rate ?align_policy ~machine ~max_pes ~greedy build in
   (* Memoized pure probes, keyed by exact rate: midpoints are computed by
      the same float arithmetic on both the speculative and the replay
      side, so the keys match bit-for-bit. *)
@@ -68,10 +64,8 @@ let search ?(lo_hz = 1.) ?(hi_hz = 1000.) ?(iterations = 12) ?(greedy = true)
     let evaluated =
       match pool with
       | Some p when List.compare_length_with fresh 1 > 0 ->
-        Sweep.map p
-          (fun _ctx r -> try_rate ~machine ~max_pes ~greedy build r)
-          fresh
-      | _ -> List.map (try_rate ~machine ~max_pes ~greedy build) fresh
+        Sweep.map p (fun _ctx r -> try_rate r) fresh
+      | _ -> List.map try_rate fresh
     in
     List.iter2 (fun r pr -> Hashtbl.replace memo r pr) fresh evaluated
   in

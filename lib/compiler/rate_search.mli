@@ -5,9 +5,9 @@
     block-parallel compilation finds the minimum number of processors for a
     *given* rate. This module answers StreamIt's question with the
     block-parallel machinery: binary-search over input rates, recompiling
-    the application at each probe, until the highest rate whose compiled
-    form fits the processor budget (and passes the static schedulability
-    check) is found.
+    the application through the sizing passes ({!Pipeline.size}) at each
+    probe, until the highest rate whose compiled form fits the processor
+    budget (and passes the static schedulability check) is found.
 
     The application is supplied as a builder indexed by rate, since the
     graph must be rebuilt per probe (compilation mutates it). *)
@@ -29,6 +29,7 @@ val search :
   ?hi_hz:float ->
   ?iterations:int ->
   ?greedy:bool ->
+  ?align_policy:Bp_transform.Align.policy ->
   ?pool:Sweep.pool ->
   machine:Bp_machine.Machine.t ->
   max_pes:int ->
@@ -36,10 +37,14 @@ val search :
   result
 (** [search ~machine ~max_pes build] binary-searches rates in
     [\[lo_hz, hi_hz\]] (defaults 1–1000 Hz, 12 iterations, greedy mapping).
-    A probe fits when compilation succeeds, the static check passes, and
-    the mapping needs at most [max_pes] processors. Compilation failures
-    ({!Bp_util.Err.Not_schedulable}, {!Bp_util.Err.Resource_exhausted}) are
-    treated as non-fitting probes, not errors.
+    A probe fits when the sizing passes [validate] … [map]
+    ({!Pipeline.size}) succeed, the static check passes, and the mapping
+    needs at most [max_pes] processors. [place] and [schedule] never run
+    in a probe: the search reads neither. Failures of the sizing passes
+    ({!Bp_util.Err.Not_schedulable}, {!Bp_util.Err.Resource_exhausted})
+    are treated as non-fitting probes, not errors. [align_policy]
+    (default: trim) is the alignment repair policy each probe compiles
+    with, as in {!Pipeline.compile}.
 
     [pool] shards probe compilations across a {!Sweep} domain pool
     ([bpc rate-search -j N]) by {e speculative bisection}: each round

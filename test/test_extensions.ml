@@ -114,6 +114,149 @@ let test_rate_search_infeasible () =
   in
   Alcotest.(check (float 0.)) "no feasible rate" 0. r.Rate_search.best_rate_hz
 
+(* The graph `bpc rate-search image-pipeline` builds at each probe. *)
+let image_pipeline_24x18 ~rate_hz =
+  (Apps.Image_pipeline.v ~frame:(Size.v 24 18) ~rate:(Rate.hz rate_hz)
+     ~n_frames:3 ())
+    .App.graph
+
+(* The search `bpc rate-search image-pipeline --greedy` runs, probe for
+   probe, as recorded when every probe still ran the full ten-pass
+   compile. Sizing with passes 1-8 alone must not move any of it. *)
+let test_rate_search_probe_list_pinned () =
+  let r =
+    Rate_search.search ~machine:Machine.default ~max_pes:8 ~greedy:true
+      image_pipeline_24x18
+  in
+  let probe = Alcotest.(triple (float 0.) int bool) in
+  Alcotest.(check (list probe))
+    "probe list"
+    [
+      (1., 4, true);
+      (1000., 115, false);
+      (500.5, 63, false);
+      (250.75, 36, false);
+      (125.875, 19, false);
+      (63.4375, 13, false);
+      (32.21875, 7, true);
+      (47.828125, 10, false);
+      (40.0234375, 9, false);
+      (36.12109375, 7, true);
+      (38.072265625, 8, true);
+      (39.0478515625, 8, true);
+      (39.53564453125, 8, true);
+      (39.779541015625, 8, true);
+    ]
+    (List.map
+       (fun (p : Rate_search.probe) ->
+         (p.Rate_search.rate_hz, p.Rate_search.pes, p.Rate_search.fits))
+       r.Rate_search.probes);
+  Alcotest.(check (float 0.)) "best rate" 39.779541015625
+    r.Rate_search.best_rate_hz;
+  Alcotest.(check int) "best PEs" 8 r.Rate_search.best_pes
+
+(* [?align_policy] reaches every probe: each probe of a padding search
+   agrees with a full padding compile at its rate, and the search differs
+   from the default (trimming) one. *)
+let test_rate_search_align_policy () =
+  let search ?align_policy () =
+    Rate_search.search ?align_policy ~machine:Machine.default ~max_pes:8
+      ~greedy:true image_pipeline_24x18
+  in
+  let pad = search ~align_policy:Align.Pad_zero () in
+  List.iter
+    (fun (p : Rate_search.probe) ->
+      let rate_hz = p.Rate_search.rate_hz in
+      let expected =
+        match
+          Err.guard (fun () ->
+              Pipeline.compile ~align_policy:Align.Pad_zero
+                ~machine:Machine.default
+                (image_pipeline_24x18 ~rate_hz))
+        with
+        | Ok plan ->
+          let pes = Plan.processors_needed plan ~policy:Plan.Greedy in
+          let schedulable =
+            plan.Plan.schedulability.Schedulability.schedulable
+          in
+          (pes, schedulable && pes <= 8)
+        | Error _ -> (max_int, false)
+      in
+      Alcotest.(check (pair int bool))
+        (Printf.sprintf "probe at %g Hz" rate_hz)
+        expected
+        (p.Rate_search.pes, p.Rate_search.fits))
+    pad.Rate_search.probes;
+  Alcotest.(check bool) "padding sizes differently from trimming" true
+    (pad.Rate_search.probes <> (search ()).Rate_search.probes)
+
+(* The ten `bpc list` applications, at the CLI's default 24x18 frame. *)
+let cli_apps : (string * (rate:Rate.t -> App.instance)) list =
+  let frame = Size.v 24 18 and n_frames = 3 in
+  [
+    ( "image-pipeline",
+      fun ~rate -> Apps.Image_pipeline.v ~frame ~rate ~n_frames () );
+    ("bayer", fun ~rate -> Apps.Bayer_app.v ~frame ~rate ~n_frames ());
+    ("histogram", fun ~rate -> Apps.Histogram_app.v ~frame ~rate ~n_frames ());
+    ("multi-conv", fun ~rate -> Apps.Multi_conv.v ~frame ~rate ~n_frames ());
+    ( "parallel-buffer",
+      fun ~rate -> Apps.Parallel_buffer.v ~frame ~rate ~n_frames () );
+    ("edge-detect", fun ~rate -> Apps.Edge_app.v ~frame ~rate ~n_frames ());
+    ( "motion-detect",
+      fun ~rate -> Apps.Motion_app.v ~frame ~rate ~n_frames () );
+    ( "resample",
+      fun ~rate ->
+        Apps.Resample_app.v ~frame:(Size.v 24 1) ~rate ~n_frames () );
+    ( "downsample",
+      fun ~rate -> Apps.Downsample_app.v ~frame ~rate ~n_frames () );
+    ("feedback", fun ~rate -> Apps.Feedback_app.v ~frame ~rate ~n_frames ());
+  ]
+
+(* The sizing prefix against the full compile: the same PE counts under
+   both mapping policies and the same verdict, or the same error. *)
+let test_size_matches_compile () =
+  let compiled = ref 0 and failed = ref 0 in
+  List.iter
+    (fun (machine_name, machine) ->
+      List.iter
+        (fun (app, make) ->
+          List.iter
+            (fun rate_hz ->
+              let graph () = (make ~rate:(Rate.hz rate_hz)).App.graph in
+              let case =
+                Printf.sprintf "%s @ %g Hz on %s" app rate_hz machine_name
+              in
+              match
+                ( Err.guard (fun () -> Pipeline.size ~machine (graph ())),
+                  Err.guard (fun () -> Pipeline.compile ~machine (graph ())) )
+              with
+              | Ok s, Ok plan ->
+                incr compiled;
+                Alcotest.(check (triple int int bool))
+                  case
+                  ( Plan.processors_needed plan ~policy:Plan.One_to_one,
+                    Plan.processors_needed plan ~policy:Plan.Greedy,
+                    plan.Plan.schedulability.Schedulability.schedulable )
+                  ( s.Pipeline.one_to_one_pes,
+                    s.Pipeline.greedy_pes,
+                    s.Pipeline.schedulability.Schedulability.schedulable )
+              | Error e, Error e' ->
+                (* The rendering carries the class and the failing pass. *)
+                incr failed;
+                Alcotest.(check string)
+                  case (Err.to_string e') (Err.to_string e)
+              | Ok _, Error e ->
+                Alcotest.failf "%s: size succeeded, compile failed: %s" case
+                  (Err.to_string e)
+              | Error e, Ok _ ->
+                Alcotest.failf "%s: compile succeeded, size failed: %s" case
+                  (Err.to_string e))
+            [ 1.; 30.; 120.; 500. ])
+        cli_apps)
+    [ ("default", Machine.default); ("small-memory", Machine.small_memory) ];
+  Alcotest.(check bool) "some cases compile" true (!compiled > 0);
+  Alcotest.(check bool) "some cases fail" true (!failed > 0)
+
 (* ---- energy -------------------------------------------------------------- *)
 
 let test_energy_breakdown () =
@@ -231,6 +374,11 @@ let suite =
       test_rate_search_finds_frontier;
     Alcotest.test_case "rate search: infeasible" `Quick
       test_rate_search_infeasible;
+    Alcotest.test_case "rate search: pinned probe list" `Quick
+      test_rate_search_probe_list_pinned;
+    Alcotest.test_case "rate search: align policy" `Quick
+      test_rate_search_align_policy;
+    Alcotest.test_case "size: matches compile" `Quick test_size_matches_compile;
     Alcotest.test_case "energy: breakdown" `Quick test_energy_breakdown;
     Alcotest.test_case "energy: greedy saves static" `Quick
       test_energy_greedy_saves_static;
