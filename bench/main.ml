@@ -1,58 +1,15 @@
-(* The benchmark harness.
+(* Bechamel micro-benchmarks for the inner loops that bpbench/ cannot
+   time on their own: the stripe and reuse arithmetic, the golden image
+   kernels, the .bp parser and the event heap. Compile passes, engine
+   runs and the paper's figures are measured elsewhere: per pass and end
+   to end by `bp_bench` (bpbench/README.md), and as figures by
+   `bpc report all`.
 
-   Two halves:
-
-   1. Figure regeneration — every table and figure of the paper is rebuilt
-      from scratch and printed, exactly as `bpc report all` does. This is
-      the reproduction artifact recorded in EXPERIMENTS.md.
-
-   2. Bechamel micro-benchmarks — one `Test.make` per experiment driver and
-      per performance-relevant component (dataflow analysis, each transform,
-      the simulator, the kernels' inner loops, the annealer, the event
-      heap), so regressions in the compiler itself are visible.
-
-   Run with: dune exec bench/main.exe
-   Skip the (slower) figure regeneration with: BENCH_ONLY=1 dune exec bench/main.exe *)
+   Run with: dune exec bench/main.exe *)
 
 open Block_parallel
 open Bechamel
 open Toolkit
-
-let null_ppf = Format.make_formatter (fun _ _ _ -> ()) ignore
-
-(* ---- shared fixtures --------------------------------------------------- *)
-
-let small = Size.v 24 18
-
-let pipeline_graph () =
-  (Apps.Image_pipeline.v ~frame:small ~rate:(Rate.hz 30.) ~n_frames:1 ())
-    .App.graph
-
-let compiled_pipeline () =
-  Pipeline.compile ~machine:Machine.default (pipeline_graph ())
-
-(* ---- micro-benchmarks --------------------------------------------------- *)
-
-let bench_analysis =
-  Test.make ~name:"dataflow-analyze (fig 2)"
-    (Staged.stage @@ fun () -> ignore (Dataflow.analyze (pipeline_graph ())))
-
-let bench_align =
-  Test.make ~name:"align-trim (fig 3/8)"
-    (Staged.stage @@ fun () ->
-     let g = pipeline_graph () in
-     ignore (Align.run g))
-
-let bench_buffering =
-  Test.make ~name:"buffer-insertion (fig 3)"
-    (Staged.stage @@ fun () ->
-     let g = pipeline_graph () in
-     ignore (Align.run g);
-     ignore (Buffering.run g))
-
-let bench_compile =
-  Test.make ~name:"full-compile (fig 4)"
-    (Staged.stage @@ fun () -> ignore (compiled_pipeline ()))
 
 let bench_parallelize_math =
   Test.make ~name:"stripe-ranges (fig 10)"
@@ -62,35 +19,10 @@ let bench_parallelize_math =
           ~window:(Conv.input_window ~w:5 ~h:5)
           ~parts:5))
 
-let bench_multiplex =
-  Test.make ~name:"greedy-multiplex (fig 12)"
-    (let compiled = compiled_pipeline () in
-     Staged.stage @@ fun () ->
-     ignore (Multiplex.greedy compiled.Pipeline.machine compiled.Pipeline.graph))
-
-let bench_simulate =
-  Test.make ~name:"simulate-one-frame (fig 13 inner loop)"
-    (Staged.stage @@ fun () ->
-     let inst =
-       Apps.Histogram_app.v ~frame:(Size.v 12 9) ~rate:(Rate.hz 30.)
-         ~n_frames:1 ()
-     in
-     let g = inst.App.graph in
-     ignore
-       (Sim.run ~graph:g ~mapping:(Mapping.one_to_one g)
-          ~machine:Machine.default ()))
-
 let bench_reuse_math =
   Test.make ~name:"reuse-stats (fig 5)"
     (Staged.stage @@ fun () ->
      ignore (Reuse.of_window (Conv.input_window ~w:5 ~h:5)))
-
-let bench_placement =
-  Test.make ~name:"simulated-annealing-placement"
-    (let compiled = compiled_pipeline () in
-     let mapping = Pipeline.mapping_one_to_one compiled in
-     let an = compiled.Pipeline.analysis in
-     Staged.stage @@ fun () -> ignore (Placement.place an mapping))
 
 let bench_conv_kernel =
   Test.make ~name:"golden-convolve-32x32"
@@ -119,13 +51,6 @@ let bench_lang_parse =
      in
      Staged.stage @@ fun () -> ignore (Lang.parse src))
 
-let bench_schedulability =
-  Test.make ~name:"schedulability-check"
-    (let compiled = compiled_pipeline () in
-     Staged.stage @@ fun () ->
-     ignore
-       (Schedulability.check compiled.Pipeline.machine compiled.Pipeline.graph))
-
 let bench_heap =
   Test.make ~name:"event-heap-1k"
     (Staged.stage @@ fun () ->
@@ -139,17 +64,9 @@ let bench_heap =
 
 let benchmarks =
   [
-    bench_analysis;
-    bench_align;
-    bench_buffering;
-    bench_compile;
     bench_parallelize_math;
-    bench_multiplex;
-    bench_simulate;
     bench_reuse_math;
-    bench_placement;
     bench_lang_parse;
-    bench_schedulability;
     bench_conv_kernel;
     bench_median_kernel;
     bench_heap;
@@ -179,37 +96,4 @@ let run_benchmarks () =
     results;
   Table.print table
 
-(* A metrics snapshot of one instrumented reference run (the running
-   example under the greedy mapping), printed with the bechamel numbers so
-   a perf PR shows *where* time moved, not just that it moved. Set
-   BENCH_METRICS=path to also write the snapshot as JSON. *)
-let metrics_snapshot () =
-  let compiled = compiled_pipeline () in
-  let obs = Instrument.create ~graph:compiled.Pipeline.graph () in
-  let result =
-    Sim.run
-      ~observer:(Instrument.observer obs)
-      ~channel_observer:(Instrument.channel_observer obs)
-      ~graph:compiled.Pipeline.graph
-      ~mapping:(Pipeline.mapping_greedy compiled)
-      ~machine:compiled.Pipeline.machine ()
-  in
-  Instrument.finalize obs ~result;
-  let m = Instrument.metrics obs in
-  print_endline "==== metrics snapshot (image-pipeline, greedy) ====";
-  Format.printf "%a@." Metrics.pp m;
-  match Sys.getenv_opt "BENCH_METRICS" with
-  | Some path ->
-    Obs_json.write_file ~path (Metrics.to_json m);
-    Printf.printf "wrote %s\n" path
-  | None -> ()
-
-let () =
-  if Sys.getenv_opt "BENCH_ONLY" = None then begin
-    print_endline "==== figure and table reproduction ====";
-    Bp_report.Report.all Format.std_formatter
-  end
-  else ignore null_ppf;
-  print_endline "==== compiler micro-benchmarks ====";
-  run_benchmarks ();
-  metrics_snapshot ()
+let () = run_benchmarks ()

@@ -40,7 +40,7 @@ let () =
   Format.printf "%a@." Pipeline.pp_summary compiled;
 
   (* Simulate on the timing-accurate functional simulator. *)
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
   Format.printf "%a@." Sim.pp_result result;
 
   (* Verify every pixel against the reference convolution. *)

@@ -59,7 +59,7 @@ let () =
 
   let compiled = Pipeline.compile ~machine:Machine.default g in
   Format.printf "%a@." Pipeline.pp_summary compiled;
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
   Format.printf "%a@." Sim.pp_result result;
 
   (* Reference: the same computation on whole frames. *)

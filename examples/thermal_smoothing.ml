@@ -73,7 +73,7 @@ let () =
 
   let compiled = Pipeline.compile ~machine:Machine.default g in
   Format.printf "%a@." Pipeline.pp_summary compiled;
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   Format.printf "%a@." Sim.pp_result result;
 
   (* Reference computation with the same scan-line recurrence. *)

@@ -416,25 +416,5 @@ let size ?align_policy ~machine g =
     schedulability = require "a schedulability report" st.st_sched;
   }
 
-(* ---- the pre-plan execution path (kept verbatim) ----------------------- *)
-
-let mapping_one_to_one t = Mapping.one_to_one t.graph
-
-let mapping_greedy t =
-  let groups = Multiplex.greedy t.machine t.graph in
-  if List.length groups > t.machine.Machine.max_pes then
-    Err.resourcef "program needs %d PEs but the machine has %d"
-      (List.length groups) t.machine.Machine.max_pes;
-  Mapping.of_groups t.graph groups
-
-let processors_needed t ~greedy =
-  if greedy then List.length (Multiplex.greedy t.machine t.graph)
-  else List.length (Multiplex.one_to_one t.graph)
-
-let simulate ?max_time_s ?pool t ~greedy =
-  let mapping = if greedy then mapping_greedy t else mapping_one_to_one t in
-  Bp_sim.Sim.run ?max_time_s ?pool ~graph:t.graph ~mapping ~machine:t.machine
-    ()
-
 let pp_summary = Plan.pp_summary
 let pp_passes = Plan.pp_timings

@@ -112,26 +112,6 @@ val size :
     eight passes fails here with the same {!Bp_util.Err.t}. This is
     the probe {!Rate_search} runs at each rate. *)
 
-(** {1 The pre-plan execution path}
-
-    Kept verbatim from before the pass-manager refactor: mappings are
-    recomputed ad hoc from the elaborated graph at call time instead of
-    read from the plan. [test/test_plan.ml] holds {!Plan.run_plan}
-    bit-exact against this path over the whole suite. *)
-
-val mapping_one_to_one : t -> Bp_sim.Mapping.t
-
-val mapping_greedy : t -> Bp_sim.Mapping.t
-(** Fails with {!Bp_util.Err.Resource_exhausted} when even the merged
-    mapping needs more processors than the machine has. *)
-
-val processors_needed : t -> greedy:bool -> int
-
-val simulate :
-  ?max_time_s:float -> ?pool:bool -> t -> greedy:bool -> Bp_sim.Sim.result
-(** Convenience: simulate the compiled program under the chosen mapping.
-    [pool] is passed through to {!Bp_sim.Sim.run} (default: pooled). *)
-
 (** {1 Rendering} *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -11,9 +11,7 @@
     report], {!Bp_obs}) read the plan instead of re-deriving any of it.
 
     {!run_plan} is the execution entry that consumes a plan (re-exported
-    as [Sim.run_plan] by the [Block_parallel] façade); the pre-plan
-    [Pipeline.simulate] path is kept and held bit-exact by the
-    differential tests. *)
+    as [Sim.run_plan] by the [Block_parallel] façade). *)
 
 type policy = One_to_one | Greedy
 (** The kernel-to-processor mapping policy (Section V): one PE per

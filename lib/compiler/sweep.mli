@@ -10,9 +10,8 @@
     simulation that worker runs ([Sim.run ~chunk_pool]), so free lists
     stay warm across a sweep without ever crossing a domain.
 
-    Consumers: [bpc sweep -j N], the scaling axis of
-    [bench/sim_bench.exe], [Rate_search.search ?pool], and
-    [test/test_domains.ml]. *)
+    Consumers: [bpc sweep -j N], [Rate_search.search ?pool], bpbench's
+    [suite-sweep] workload, and [test/test_domains.ml]. *)
 
 type ctx = {
   domain : int;  (** Index of the worker running the task. *)

@@ -81,17 +81,12 @@ type gc_snapshot = {
 
 val gc_snapshot : unit -> gc_snapshot
 
-val allocated_words : before:gc_snapshot -> after:gc_snapshot -> float
-(** Total words allocated between the two snapshots
-    ([minor + major - promoted], so promoted words are not double
-    counted). *)
-
 val record_gc :
   t -> ?prefix:string -> before:gc_snapshot -> after:gc_snapshot -> unit ->
   unit
 (** Record the deltas between two snapshots: gauges
     [gc.minor_words], [gc.major_words], [gc.promoted_words],
-    [gc.allocated_words]; counters [gc.minor_collections],
+    [gc.allocated_words] (minor + major − promoted); counters [gc.minor_collections],
     [gc.major_collections]. [prefix] is prepended verbatim to every
     name. *)
 

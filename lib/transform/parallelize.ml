@@ -31,25 +31,26 @@ let required_cycles_per_s an machine id =
     in
     per_frame *. Rate.to_hz rate
 
+(* A buffer's output window, its input channel in [g], and that channel's
+   stream in [an]. *)
+let buffer_input g an (n : Graph.node) =
+  let window =
+    match n.Graph.spec.Spec.outputs with
+    | [ p ] -> p.Port.window
+    | _ -> Err.graphf "buffer %s must have one output" n.Graph.name
+  in
+  match Graph.in_channel g n.Graph.id "in" with
+  | Some c -> (window, c, Dataflow.stream_of an c.Graph.chan_id)
+  | None -> Err.graphf "buffer %s input not connected" n.Graph.name
+
 (* How many stripes a buffer needs so each stripe fits one PE's memory and
    keeps up with its input share. *)
 let buffer_stripes an machine id =
   let g = Dataflow.graph an in
   let n = Graph.node g id in
   let pe = machine.Machine.pe in
-  let out_port =
-    match n.Graph.spec.Spec.outputs with
-    | [ p ] -> p
-    | _ -> Err.graphf "buffer %s must have one output" n.Graph.name
-  in
-  let in_c =
-    match Graph.in_channel g id "in" with
-    | Some c -> c
-    | None -> Err.graphf "buffer %s input not connected" n.Graph.name
-  in
-  let s = Dataflow.stream_of an in_c.Graph.chan_id in
+  let window, _, s = buffer_input g an n in
   let frame = s.Stream.extent in
-  let window = out_port.Port.window in
   let cpu = required_cycles_per_s an machine id in
   let degree_cpu =
     int_of_float (Float.ceil (cpu /. Machine.usable_cycles_per_s machine))
@@ -178,17 +179,20 @@ let pipeline_chains an =
       follow head [ head ])
     heads
 
-let out_port_name g id =
-  match (Graph.node g id).Graph.spec.Spec.outputs with
+let out_port_name (spec : Spec.t) =
+  match spec.Spec.outputs with
   | [ p ] -> p.Port.name
   | _ -> Err.graphf "pipeline stage must have one output"
 
+(* Each rewrite below is staged: [rewrite g ...] makes all its checks,
+   in order, without touching [g]; applying the result rewrites [g]. *)
+let check_only (_rewrite : unit -> Graph.node_id list) = ()
+
 (* Replicate a whole chain [d] ways: split before the first stage, the
    stages of each pipeline wired point-to-point, join after the last. *)
-let replicate_chain g an chain d =
+let replicate_chain g chain d =
   let nodes = List.map (Graph.node g) chain in
   let first = List.hd nodes and last = List.hd (List.rev nodes) in
-  ignore an;
   let driving_input (n : Graph.node) =
     (* The single stream input that is not a replicated/config port. *)
     match
@@ -210,6 +214,17 @@ let replicate_chain g an chain d =
     | [ p ] -> p
     | _ -> Err.graphf "pipeline tail %s must have one output" last.Graph.name
   in
+  (* The checks that building each pipeline below makes. *)
+  for k = 0 to d - 1 do
+    List.map
+      (fun (n : Graph.node) ->
+        let rspec = Spec.replica_spec n.Graph.spec ~replica:k ~ways:d in
+        ignore (driving_input n);
+        rspec)
+      nodes
+    |> List.rev |> List.tl
+    |> List.iter (fun rspec -> ignore (out_port_name rspec))
+  done;
   let out_cs = Graph.out_channels g last.Graph.id () in
   let entry = (first_in_c.Graph.src.Graph.node, first_in_c.Graph.src.Graph.port) in
   let exits =
@@ -233,64 +248,67 @@ let replicate_chain g an chain d =
           n.Graph.spec.Spec.inputs)
       nodes
   in
-  List.iter (fun (n : Graph.node) -> Graph.remove_node g n.Graph.id) nodes;
-  let split =
-    Graph.add g
-      ~name:(Printf.sprintf "Split(pipeline %s)" first.Graph.name)
-      ~meta:(Graph.Split_meta { ways = d })
-      (Split_join.split ~window:first_in.Port.window ~ways:d ())
-  in
-  Graph.connect g ~capacity:first_in_c.Graph.capacity ~from:entry
-    ~into:(split, "in");
-  let join =
-    Graph.add g
-      ~name:(Printf.sprintf "Join(pipeline %s)" last.Graph.name)
-      ~meta:(Graph.Join_meta { ways = d })
-      (Split_join.join ~window:out_port.Port.window ~ways:d ())
-  in
-  let pipelines =
-    List.init d (fun k ->
-        let stage_ids =
-          List.map2
-            (fun (n : Graph.node) feeds ->
-              let rspec = Spec.replica_spec n.Graph.spec ~replica:k ~ways:d in
-              let id =
-                Graph.add g
-                  ~name:(Printf.sprintf "%s_%d" n.Graph.name k)
-                  rspec
-              in
-              (* Config ports fan out from their constant producers. *)
-              List.iter
-                (fun ((p : Port.t), from) ->
-                  Graph.connect g ~from ~into:(id, p.Port.name))
-                feeds;
-              (id, driving_input n))
-            nodes config_feeds
-        in
-        (* Wire the stages of this pipeline point-to-point. *)
-        let rec wire = function
-          | (a, _) :: ((b, b_in) :: _ as rest) ->
-            Graph.connect g ~from:(a, out_port_name g a) ~into:(b, b_in.Port.name);
-            wire rest
-          | _ -> ()
-        in
-        wire stage_ids;
-        let head_id, head_in = List.hd stage_ids in
-        Graph.connect g
-          ~from:(split, Printf.sprintf "out%d" k)
-          ~into:(head_id, head_in.Port.name);
-        let tail_id, _ = List.hd (List.rev stage_ids) in
-        Graph.connect g
-          ~from:(tail_id, out_port.Port.name)
-          ~into:(join, Printf.sprintf "in%d" k);
-        List.map fst stage_ids)
-    |> List.concat
-  in
-  List.iter
-    (fun (capacity, into) ->
-      Graph.connect g ~capacity ~from:(join, "out") ~into)
-    exits;
-  pipelines
+  fun () ->
+    List.iter (fun (n : Graph.node) -> Graph.remove_node g n.Graph.id) nodes;
+    let split =
+      Graph.add g
+        ~name:(Printf.sprintf "Split(pipeline %s)" first.Graph.name)
+        ~meta:(Graph.Split_meta { ways = d })
+        (Split_join.split ~window:first_in.Port.window ~ways:d ())
+    in
+    Graph.connect g ~capacity:first_in_c.Graph.capacity ~from:entry
+      ~into:(split, "in");
+    let join =
+      Graph.add g
+        ~name:(Printf.sprintf "Join(pipeline %s)" last.Graph.name)
+        ~meta:(Graph.Join_meta { ways = d })
+        (Split_join.join ~window:out_port.Port.window ~ways:d ())
+    in
+    let pipelines =
+      List.init d (fun k ->
+          let stage_ids =
+            List.map2
+              (fun (n : Graph.node) feeds ->
+                let rspec = Spec.replica_spec n.Graph.spec ~replica:k ~ways:d in
+                let id =
+                  Graph.add g
+                    ~name:(Printf.sprintf "%s_%d" n.Graph.name k)
+                    rspec
+                in
+                (* Config ports fan out from their constant producers. *)
+                List.iter
+                  (fun ((p : Port.t), from) ->
+                    Graph.connect g ~from ~into:(id, p.Port.name))
+                  feeds;
+                (id, driving_input n))
+              nodes config_feeds
+          in
+          (* Wire the stages of this pipeline point-to-point. *)
+          let rec wire = function
+            | (a, _) :: ((b, b_in) :: _ as rest) ->
+              Graph.connect g
+                ~from:(a, out_port_name (Graph.node g a).Graph.spec)
+                ~into:(b, b_in.Port.name);
+              wire rest
+            | _ -> ()
+          in
+          wire stage_ids;
+          let head_id, head_in = List.hd stage_ids in
+          Graph.connect g
+            ~from:(split, Printf.sprintf "out%d" k)
+            ~into:(head_id, head_in.Port.name);
+          let tail_id, _ = List.hd (List.rev stage_ids) in
+          Graph.connect g
+            ~from:(tail_id, out_port.Port.name)
+            ~into:(join, Printf.sprintf "in%d" k);
+          List.map fst stage_ids)
+      |> List.concat
+    in
+    List.iter
+      (fun (capacity, into) ->
+        Graph.connect g ~capacity ~from:(join, "out") ~into)
+      exits;
+    pipelines
 
 (* Rewrite one data-parallel compute node into [d] replicas with
    split/join/replicate plumbing. *)
@@ -304,60 +322,63 @@ let replicate_compute g (n : Graph.node) d =
         | None -> Err.graphf "%s.%s not connected" n.Graph.name p.Port.name)
       spec.Spec.inputs
   in
+  for k = 0 to d - 1 do
+    ignore (Spec.replica_spec spec ~replica:k ~ways:d)
+  done;
+  let base_name = n.Graph.name in
   let out_channels =
     List.map
       (fun (p : Port.t) ->
-        (p, Graph.out_channels g n.Graph.id ~port:p.Port.name ()))
+        match Graph.out_channels g n.Graph.id ~port:p.Port.name () with
+        | [] -> Err.graphf "%s.%s drives nothing" base_name p.Port.name
+        | cs -> (p, cs))
       spec.Spec.outputs
   in
-  let base_name = n.Graph.name in
-  Graph.remove_node g n.Graph.id;
-  let replicas =
-    List.init d (fun k ->
-        let rspec = Spec.replica_spec spec ~replica:k ~ways:d in
-        Graph.add g ~name:(Printf.sprintf "%s_%d" base_name k) rspec)
-  in
-  (* Inputs: split or replicate. *)
-  List.iter
-    (fun ((p : Port.t), (c : Graph.channel)) ->
-      (* The channel itself disappeared with the removed node; only its
-         endpoints matter now. *)
-      let from = (c.Graph.src.Graph.node, c.Graph.src.Graph.port) in
-      if p.Port.replicated then begin
-        let rep =
-          Graph.add g
-            ~name:(Printf.sprintf "Replicate(%s.%s)" base_name p.Port.name)
-            (Split_join.replicate ~window:p.Port.window ())
-        in
-        Graph.connect g ~capacity:c.Graph.capacity ~from ~into:(rep, "in");
-        List.iter
-          (fun r ->
-            Graph.connect g ~capacity:c.Graph.capacity ~from:(rep, "out")
-              ~into:(r, p.Port.name))
-          replicas
-      end
-      else begin
-        let split =
-          Graph.add g
-            ~name:(Printf.sprintf "Split(%s.%s)" base_name p.Port.name)
-            ~meta:(Graph.Split_meta { ways = d })
-            (Split_join.split ~window:p.Port.window ~ways:d ())
-        in
-        Graph.connect g ~capacity:c.Graph.capacity ~from ~into:(split, "in");
-        List.iteri
-          (fun k r ->
-            Graph.connect g ~capacity:c.Graph.capacity
-              ~from:(split, Printf.sprintf "out%d" k)
-              ~into:(r, p.Port.name))
-          replicas
-      end)
-    in_channels;
-  (* Outputs: join, then restore the original fan-out. *)
-  List.iter
-    (fun ((p : Port.t), (cs : Graph.channel list)) ->
-      match cs with
-      | [] -> Err.graphf "%s.%s drives nothing" base_name p.Port.name
-      | _ ->
+  fun () ->
+    Graph.remove_node g n.Graph.id;
+    let replicas =
+      List.init d (fun k ->
+          let rspec = Spec.replica_spec spec ~replica:k ~ways:d in
+          Graph.add g ~name:(Printf.sprintf "%s_%d" base_name k) rspec)
+    in
+    (* Inputs: split or replicate. *)
+    List.iter
+      (fun ((p : Port.t), (c : Graph.channel)) ->
+        (* The channel itself disappeared with the removed node; only its
+           endpoints matter now. *)
+        let from = (c.Graph.src.Graph.node, c.Graph.src.Graph.port) in
+        if p.Port.replicated then begin
+          let rep =
+            Graph.add g
+              ~name:(Printf.sprintf "Replicate(%s.%s)" base_name p.Port.name)
+              (Split_join.replicate ~window:p.Port.window ())
+          in
+          Graph.connect g ~capacity:c.Graph.capacity ~from ~into:(rep, "in");
+          List.iter
+            (fun r ->
+              Graph.connect g ~capacity:c.Graph.capacity ~from:(rep, "out")
+                ~into:(r, p.Port.name))
+            replicas
+        end
+        else begin
+          let split =
+            Graph.add g
+              ~name:(Printf.sprintf "Split(%s.%s)" base_name p.Port.name)
+              ~meta:(Graph.Split_meta { ways = d })
+              (Split_join.split ~window:p.Port.window ~ways:d ())
+          in
+          Graph.connect g ~capacity:c.Graph.capacity ~from ~into:(split, "in");
+          List.iteri
+            (fun k r ->
+              Graph.connect g ~capacity:c.Graph.capacity
+                ~from:(split, Printf.sprintf "out%d" k)
+                ~into:(r, p.Port.name))
+            replicas
+        end)
+      in_channels;
+    (* Outputs: join, then restore the original fan-out. *)
+    List.iter
+      (fun ((p : Port.t), (cs : Graph.channel list)) ->
         let join =
           Graph.add g
             ~name:(Printf.sprintf "Join(%s.%s)" base_name p.Port.name)
@@ -375,23 +396,12 @@ let replicate_compute g (n : Graph.node) d =
             Graph.connect g ~capacity:c.Graph.capacity ~from:(join, "out")
               ~into:(c.Graph.dst.Graph.node, c.Graph.dst.Graph.port))
           cs)
-    out_channels;
-  replicas
+      out_channels;
+    replicas
 
 (* Rewrite one buffer into [m] column stripes (Figure 10). *)
 let split_buffer g an (n : Graph.node) m =
-  let out_port =
-    match n.Graph.spec.Spec.outputs with
-    | [ p ] -> p
-    | _ -> Err.graphf "buffer %s must have one output" n.Graph.name
-  in
-  let window = out_port.Port.window in
-  let in_c =
-    match Graph.in_channel g n.Graph.id "in" with
-    | Some c -> c
-    | None -> Err.graphf "buffer %s input not connected" n.Graph.name
-  in
-  let s = Dataflow.stream_of an in_c.Graph.chan_id in
+  let window, in_c, s = buffer_input g an n in
   if not (Size.equal s.Stream.chunk Size.one) then
     Err.unsupportedf "buffer %s: only pixel-fed buffers can be split"
       n.Graph.name;
@@ -411,61 +421,62 @@ let split_buffer g an (n : Graph.node) m =
         (c.Graph.capacity, (c.Graph.dst.Graph.node, c.Graph.dst.Graph.port)))
       out_cs
   in
-  Graph.remove_node g n.Graph.id;
-  let split =
-    Graph.add g
-      ~name:(Printf.sprintf "Split(%s)" base_name)
-      ~meta:(Graph.Column_split_meta { ranges })
-      (Split_join.column_split ~ranges ~frame ())
-  in
-  Graph.connect g ~capacity:in_c.Graph.capacity ~from ~into:(split, "in");
-  let subs =
-    Array.to_list
-      (Array.mapi
-         (fun k (c0, c1) ->
-           let cfg =
-             Buffer.config ~out_window:window
-               ~frame:(Size.v (c1 - c0) frame.Size.h)
-               ()
-           in
-           let sub =
-             Graph.add g
-               ~meta:(Graph.Buffer_meta { storage = Buffer.storage cfg })
-               (Buffer.spec cfg)
-           in
-           Graph.connect g
-             ~from:(split, Printf.sprintf "out%d" k)
-             ~into:(sub, "in");
-           sub)
-         ranges)
-  in
-  let join =
-    Graph.add g
-      ~name:(Printf.sprintf "Join(%s)" base_name)
-      ~meta:(Graph.Pattern_join_meta { pattern; out_extent = frame })
-      (Split_join.join ~pattern ~window ~ways:m ())
-  in
-  List.iteri
-    (fun k sub ->
-      Graph.connect g ~from:(sub, "out") ~into:(join, Printf.sprintf "in%d" k))
-    subs;
-  List.iter
-    (fun (capacity, into) ->
-      Graph.connect g ~capacity ~from:(join, "out") ~into)
-    outs;
-  subs
+  fun () ->
+    Graph.remove_node g n.Graph.id;
+    let split =
+      Graph.add g
+        ~name:(Printf.sprintf "Split(%s)" base_name)
+        ~meta:(Graph.Column_split_meta { ranges })
+        (Split_join.column_split ~ranges ~frame ())
+    in
+    Graph.connect g ~capacity:in_c.Graph.capacity ~from ~into:(split, "in");
+    let subs =
+      Array.to_list
+        (Array.mapi
+           (fun k (c0, c1) ->
+             let cfg =
+               Buffer.config ~out_window:window
+                 ~frame:(Size.v (c1 - c0) frame.Size.h)
+                 ()
+             in
+             let sub =
+               Graph.add g
+                 ~meta:(Graph.Buffer_meta { storage = Buffer.storage cfg })
+                 (Buffer.spec cfg)
+             in
+             Graph.connect g
+               ~from:(split, Printf.sprintf "out%d" k)
+               ~into:(sub, "in");
+             sub)
+           ranges)
+    in
+    let join =
+      Graph.add g
+        ~name:(Printf.sprintf "Join(%s)" base_name)
+        ~meta:(Graph.Pattern_join_meta { pattern; out_extent = frame })
+        (Split_join.join ~pattern ~window ~ways:m ())
+    in
+    List.iteri
+      (fun k sub ->
+        Graph.connect g ~from:(sub, "out") ~into:(join, Printf.sprintf "in%d" k))
+      subs;
+    List.iter
+      (fun (capacity, into) ->
+        Graph.connect g ~capacity ~from:(join, "out") ~into)
+      outs;
+    subs
 
 let run machine g =
   let an = Dataflow.analyze g in
   (* Everything is decided against the pre-rewrite analysis: detect
-     pipeline chains, compute degrees and dependency caps, and snapshot the
-     node list — only then start mutating the graph. *)
+     pipeline chains, compute degrees and dependency caps, snapshot the
+     node list, check every rewrite — only then mutate the graph. *)
   let chains = pipeline_chains an in
   let chain_members = List.concat chains |> List.sort_uniq Int.compare in
   let in_chain id = List.mem id chain_members in
   let original_nodes = Graph.nodes g in
   let degrees, capped = capped_degrees an machine in
-  let chain_decisions =
+  let chain_plan =
     List.filter_map
       (fun chain ->
         let d =
@@ -475,17 +486,39 @@ let run machine g =
         in
         if d < 2 then None
         else begin
-          let head = Graph.node g (List.hd chain) in
-          let replicas = replicate_chain g an chain d in
-          Some
-            {
-              original = Printf.sprintf "pipeline(%s)" head.Graph.name;
-              degree = d;
-              reason = Cpu_bound;
-              replicas;
-            }
+          check_only (replicate_chain g chain d);
+          Some (chain, d)
         end)
       chains
+  in
+  let rewrite_chains () =
+    List.map
+      (fun (chain, d) ->
+        let head = Graph.node g (List.hd chain) in
+        {
+          original = Printf.sprintf "pipeline(%s)" head.Graph.name;
+          degree = d;
+          reason = Cpu_bound;
+          replicas = replicate_chain g chain d ();
+        })
+      chain_plan
+  in
+  (* The exception: a buffer fed by a node that a rewrite replaces looks
+     its stream up through the rewrite's new channel, and fails. Below a
+     chain that happens as the plan is built, so the chains go first;
+     below a node of the plan, the checks stop at the buffer. *)
+  let fed_by replaced (n : Graph.node) =
+    n.Graph.spec.Spec.role = Spec.Buffer
+    &&
+    match Graph.in_channel g n.Graph.id "in" with
+    | Some c -> List.mem c.Graph.src.Graph.node replaced
+    | None -> false
+  in
+  let chain_ids = List.concat_map fst chain_plan in
+  let chains_first =
+    if List.exists (fed_by chain_ids) original_nodes then
+      Some (rewrite_chains ())
+    else None
   in
   let pe = machine.Machine.pe in
   let plan =
@@ -521,13 +554,23 @@ let run machine g =
         | _ -> None)
       original_nodes
   in
+  let rewrite ((n : Graph.node), d, _) =
+    match n.Graph.spec.Spec.role with
+    | Spec.Buffer -> split_buffer g an n d
+    | _ -> replicate_compute g n d
+  in
+  let rec check replaced = function
+    | (((n : Graph.node), _, _) as entry) :: rest when not (fed_by replaced n) ->
+      check_only (rewrite entry);
+      check (n.Graph.id :: replaced) rest
+    | _ -> ()
+  in
+  check chain_ids plan;
+  let chain_decisions =
+    match chains_first with Some ds -> ds | None -> rewrite_chains ()
+  in
   chain_decisions
   @ List.map
-      (fun ((n : Graph.node), d, reason) ->
-        let replicas =
-          match n.Graph.spec.Spec.role with
-          | Spec.Buffer -> split_buffer g an n d
-          | _ -> replicate_compute g n d
-        in
-        { original = n.Graph.name; degree = d; reason; replicas })
+      (fun (((n : Graph.node), d, reason) as entry) ->
+        { original = n.Graph.name; degree = d; reason; replicas = rewrite entry () })
       plan

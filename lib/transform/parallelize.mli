@@ -50,4 +50,6 @@ val run : Bp_machine.Machine.t -> Bp_graph.Graph.t -> decision list
 (** Mutates the graph in place. Fails with
     {!Bp_util.Err.Not_schedulable} when a serial kernel cannot keep up and
     {!Bp_util.Err.Resource_exhausted} when a non-buffer kernel cannot fit
-    in one PE's memory. *)
+    in one PE's memory. Every check runs before the first rewrite, so a
+    failure leaves the graph as it was, unless a buffer is fed by a
+    rewritten node. *)

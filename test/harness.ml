@@ -97,25 +97,23 @@ let tokens_of items =
 
 (* ---- whole-application helpers ---------------------------------------- *)
 
-let check_app ?(greedy_list = [ false; true ]) ?machine
+let check_app ?(policies = [ Plan.One_to_one; Plan.Greedy ]) ?machine
     (inst : App.instance) =
   let machine = Option.value machine ~default:Machine.default in
   let compiled = Pipeline.compile ~machine inst.App.graph in
   List.iter
-    (fun greedy ->
-      let result = Pipeline.simulate compiled ~greedy in
+    (fun policy ->
+      let result = Sim.run_plan ~policy compiled () in
       let diffs, ok = App.verify inst result in
       List.iter
         (fun (label, d) ->
           if d > 1e-9 then
             Alcotest.failf "%s [%s] %s: |diff| = %g" inst.App.name
-              (if greedy then "greedy" else "1:1")
-              label d)
+              (Plan.policy_name policy) label d)
         diffs;
       if not ok then
         Alcotest.failf "%s [%s]: verification failed (chunks or leftovers)"
-          inst.App.name
-          (if greedy then "greedy" else "1:1");
+          inst.App.name (Plan.policy_name policy);
       let verdict =
         Sim.real_time_verdict result ~expected_frames:inst.App.n_frames
           ~period_s:(App.period_s inst)
@@ -123,8 +121,8 @@ let check_app ?(greedy_list = [ false; true ]) ?machine
       in
       if not verdict.Sim.met then
         Alcotest.failf "%s [%s]: real-time constraint missed" inst.App.name
-          (if greedy then "greedy" else "1:1"))
-    greedy_list;
+          (Plan.policy_name policy))
+    policies;
   compiled
 
 (* ---- alcotest testables ----------------------------------------------- *)

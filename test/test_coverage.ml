@@ -194,7 +194,7 @@ let test_sim_deterministic () =
         ~n_frames:2 ()
     in
     let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
-    let result = Pipeline.simulate compiled ~greedy:true in
+    let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
     ( result.Sim.duration_s,
       Sim.average_utilization result,
       List.map
@@ -305,12 +305,12 @@ let test_first_output_latency () =
       ~n_frames:2 ()
   in
   let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
-  let lat greedy =
-    match Sim.first_output_latency_s (Pipeline.simulate compiled ~greedy) with
+  let lat policy =
+    match Sim.first_output_latency_s (Sim.run_plan ~policy compiled ()) with
     | Some l -> l
     | None -> Alcotest.fail "no output"
   in
-  let l_1to1 = lat false and l_gm = lat true in
+  let l_1to1 = lat Plan.One_to_one and l_gm = lat Plan.Greedy in
   let period = 1. /. 30. in
   (* The histogram result needs the whole frame: latency sits within a
      frame period of the frame's end, under either mapping. *)
@@ -343,20 +343,20 @@ let test_switch_overhead () =
       (Machine.pe_v ~switch_cycles:sw ~freq_hz:1e6 ~mem_words:4096
          ~read_cycles_per_word:0.15 ~write_cycles_per_word:0.15 ())
   in
-  let busy machine greedy =
+  let busy machine policy =
     let i = inst () in
     let compiled = Pipeline.compile ~machine i.App.graph in
-    let r = Pipeline.simulate compiled ~greedy in
+    let r = Sim.run_plan ~policy compiled () in
     Array.fold_left
       (fun acc (p : Sim.proc_stats) -> acc +. p.Sim.run_s)
       0. r.Sim.procs
   in
-  let base = busy (machine_with 0.) true in
-  let heavy = busy (machine_with 50.) true in
+  let base = busy (machine_with 0.) Plan.Greedy in
+  let heavy = busy (machine_with 50.) Plan.Greedy in
   Alcotest.(check bool) "switching costs time" true (heavy > base);
   (* Dedicated PEs never switch. *)
-  let one_base = busy (machine_with 0.) false in
-  let one_heavy = busy (machine_with 50.) false in
+  let one_base = busy (machine_with 0.) Plan.One_to_one in
+  let one_heavy = busy (machine_with 50.) Plan.One_to_one in
   Alcotest.(check (float 1e-9)) "1:1 unaffected" one_base one_heavy
 
 let test_upsample_then_window () =
@@ -392,7 +392,7 @@ let test_upsample_then_window () =
       compiled.Pipeline.buffers
   in
   Alcotest.(check bool) "block-fed buffer inserted" true block_buffer;
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
   let golden =
     List.map
@@ -421,7 +421,7 @@ let test_shipped_programs_parse () =
     (fun (path, allowed_leftover) ->
       let p = Lang.parse_file path in
       let compiled = Pipeline.compile ~machine:Machine.default p.Lang.graph in
-      let result = Pipeline.simulate compiled ~greedy:true in
+      let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
       Alcotest.(check bool)
         (Printf.sprintf "%s leftovers <= %d" path allowed_leftover)
         true

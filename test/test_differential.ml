@@ -153,7 +153,7 @@ let run_case (w, h, seed, stages) =
     List.fold_left (fun acc f -> f acc) img (List.rev goldens)
   in
   let compiled = Pipeline.compile ~machine:Machine.default g in
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
   let expected = List.map golden frames in
   let out_extent = Image.size (List.hd expected) in
   let got =
@@ -243,33 +243,30 @@ let result_signature (r : Sim.result) =
     List.sort compare r.Sim.channel_depths,
     (r.Sim.leftover_items, r.Sim.timed_out) )
 
-let run_engine label ~greedy ~engine =
+let run_engine label ~policy ~engine =
   let e = Apps.Suite.by_label label in
   let inst = e.Apps.Suite.build () in
   let compiled =
     Pipeline.compile ~machine:e.Apps.Suite.machine inst.App.graph
   in
-  let mapping =
-    if greedy then Pipeline.mapping_greedy compiled
-    else Pipeline.mapping_one_to_one compiled
-  in
-  engine ~graph:compiled.Pipeline.graph ~mapping
+  engine ~graph:compiled.Pipeline.graph
+    ~mapping:(Plan.mapping compiled ~policy)
     ~machine:e.Apps.Suite.machine ()
 
 let test_engines_agree () =
   List.iter
     (fun label ->
       List.iter
-        (fun greedy ->
+        (fun policy ->
           let tag =
-            Printf.sprintf "%s/%s" label (if greedy then "greedy" else "1:1")
+            Printf.sprintf "%s/%s" label (Plan.policy_name policy)
           in
           let reference =
-            run_engine label ~greedy ~engine:(fun ~graph ~mapping ~machine () ->
+            run_engine label ~policy ~engine:(fun ~graph ~mapping ~machine () ->
                 Sim_reference.run ~graph ~mapping ~machine ())
           in
           let fresh =
-            run_engine label ~greedy ~engine:(fun ~graph ~mapping ~machine () ->
+            run_engine label ~policy ~engine:(fun ~graph ~mapping ~machine () ->
                 Sim.run ~graph ~mapping ~machine ())
           in
           Alcotest.(check (float 0.))
@@ -282,7 +279,7 @@ let test_engines_agree () =
             (tag ^ ": full result signature")
             true
             (result_signature reference = result_signature fresh))
-        [ false; true ])
+        [ Plan.One_to_one; Plan.Greedy ])
     Apps.Suite.labels
 
 let suite =

@@ -49,26 +49,28 @@ let outcome_key (o : Sweep.outcome) =
     | Plan.Greedy -> "greedy"),
     result_signature o.Sweep.o_result )
 
-(* The tentpole's acceptance bar: the merged sweep over all eleven suite
-   apps under both mappings is bit-identical at -j 1 and -j 4 — same
-   order, same labels, exact-equal floats and event counts. *)
+(* The merged sweep over all eleven suite apps under both mappings is
+   bit-identical at -j 1, 2, 4 and 8 — same order, same labels,
+   exact-equal floats and event counts. *)
 let test_sweep_deterministic () =
   let run domains =
     Sweep.with_pool ~domains @@ fun pool ->
     List.map outcome_key (Sweep.simulate_jobs pool (suite_jobs ()))
   in
   let serial = run 1 in
-  let sharded = run 4 in
   Alcotest.(check int)
     "22 outcomes (11 apps x 2 mappings)" 22 (List.length serial);
-  List.iter2
-    (fun (l1, p1, s1) (l4, p4, s4) ->
-      Alcotest.(check string) "label order preserved" l1 l4;
-      Alcotest.(check string) (l1 ^ " policy order preserved") p1 p4;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s/%s bit-exact at -j 4" l1 p1)
-        true (s1 = s4))
-    serial sharded
+  List.iter
+    (fun domains ->
+      List.iter2
+        (fun (l1, p1, s1) (ln, pn, sn) ->
+          Alcotest.(check string) "label order preserved" l1 ln;
+          Alcotest.(check string) (l1 ^ " policy order preserved") p1 pn;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s bit-exact at -j %d" l1 p1 domains)
+            true (s1 = sn))
+        serial (run domains))
+    [ 2; 4; 8 ]
 
 (* Every task is accounted to exactly one worker and the merge preserves
    submission order even when tasks are dealt across domains. *)

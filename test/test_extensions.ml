@@ -19,7 +19,7 @@ let test_schedulable_after_compile () =
   Alcotest.(check bool) "has a bottleneck" true
     (r.Schedulability.bottleneck <> None);
   Alcotest.(check int) "PE prediction matches mapping"
-    (Mapping.processors (Pipeline.mapping_one_to_one compiled))
+    (Mapping.processors (Plan.mapping compiled ~policy:Plan.One_to_one))
     r.Schedulability.predicted_pe_count;
   (* Sorted by utilization, descending. *)
   let utils =
@@ -57,7 +57,7 @@ let test_prediction_matches_simulation () =
     let static =
       Schedulability.check compiled.Pipeline.machine compiled.Pipeline.graph
     in
-    let result = Pipeline.simulate compiled ~greedy:false in
+    let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
     let verdict =
       Sim.real_time_verdict result ~expected_frames:2
         ~period_s:(App.period_s inst) ()
@@ -92,7 +92,7 @@ let test_rate_search_finds_frontier () =
           let compiled =
             Pipeline.compile ~machine:Machine.default (build ~rate_hz)
           in
-          Pipeline.processors_needed compiled ~greedy:true <= 6)
+          Plan.processors_needed compiled ~policy:Plan.Greedy <= 6)
     with
     | Ok ok -> ok
     | Error _ -> false
@@ -261,7 +261,7 @@ let test_size_matches_compile () =
 
 let test_energy_breakdown () =
   let _, compiled = compiled_example () in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   let e = Energy.of_result ~machine:compiled.Pipeline.machine result in
   Alcotest.(check bool) "compute positive" true (e.Energy.compute_uj > 0.);
   Alcotest.(check bool) "channel positive" true (e.Energy.channel_uj > 0.);
@@ -278,11 +278,11 @@ let test_energy_greedy_saves_static () =
   let _, compiled = compiled_example () in
   let e_1to1 =
     Energy.of_result ~machine:compiled.Pipeline.machine
-      (Pipeline.simulate compiled ~greedy:false)
+      (Sim.run_plan ~policy:Plan.One_to_one compiled ())
   in
   let e_gm =
     Energy.of_result ~machine:compiled.Pipeline.machine
-      (Pipeline.simulate compiled ~greedy:true)
+      (Sim.run_plan ~policy:Plan.Greedy compiled ())
   in
   Alcotest.(check bool) "fewer PEs" true (e_gm.Energy.pes < e_1to1.Energy.pes);
   Alcotest.(check bool) "less static energy" true
@@ -295,9 +295,9 @@ let test_energy_greedy_saves_static () =
 
 let test_energy_with_placement () =
   let _, compiled = compiled_example () in
-  let mapping = Pipeline.mapping_one_to_one compiled in
+  let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
   let placement = Placement.place compiled.Pipeline.analysis mapping in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   let e =
     Energy.of_result ~machine:compiled.Pipeline.machine
       ~placement_cost_word_hops_per_frame:placement.Placement.cost ~frames:2
@@ -401,7 +401,7 @@ let test_placement_affects_latency_not_throughput () =
       ~n_frames:3 ()
   in
   let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
-  let mapping = Pipeline.mapping_one_to_one compiled in
+  let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
   let placed = Placement.place compiled.Pipeline.analysis mapping in
   let run placement =
     Sim.run ?placement ~graph:compiled.Pipeline.graph ~mapping

@@ -21,7 +21,7 @@ let test_image_pipeline_pad_policy () =
     Pipeline.compile ~align_policy:Align.Pad_zero ~machine:Machine.default
       inst.App.graph
   in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   let diffs, ok = App.verify inst result in
   List.iter
     (fun (l, d) ->
@@ -41,7 +41,7 @@ let test_trim_vs_pad_differ () =
       Pipeline.compile ~align_policy:policy ~machine:Machine.default
         inst.App.graph
     in
-    ignore (Pipeline.simulate compiled ~greedy:false);
+    ignore (Sim.run_plan ~policy:Plan.One_to_one compiled ());
     match inst.App.collectors with
     | [ (_, c) ] -> List.hd (Sink.chunks c)
     | _ -> Alcotest.fail "expected one collector"
@@ -54,7 +54,7 @@ let test_feedback_app_end_to_end () =
   let inst =
     Apps.Feedback_app.v ~frame:(Size.v 10 8) ~rate:(Rate.hz 20.) ~n_frames:3 ()
   in
-  ignore (check_app ~greedy_list:[ false ] inst)
+  ignore (check_app ~policies:[ Plan.One_to_one ] inst)
 
 let test_downsample_app_end_to_end () =
   let inst =
@@ -194,8 +194,8 @@ let test_pipeline_reports () =
   let s = Format.asprintf "%a" Pipeline.pp_summary compiled in
   Alcotest.(check bool) "mentions PEs" true (contains s "PEs");
   Alcotest.(check bool) "processors sane" true
-    (Pipeline.processors_needed compiled ~greedy:true
-    <= Pipeline.processors_needed compiled ~greedy:false)
+    (Plan.processors_needed compiled ~policy:Plan.Greedy
+    <= Plan.processors_needed compiled ~policy:Plan.One_to_one)
 
 let suite =
   List.map
@@ -227,7 +227,7 @@ let test_motion_app () =
   let inst =
     Apps.Motion_app.v ~frame:(Size.v 14 10) ~rate:(Rate.hz 15.) ~n_frames:3 ()
   in
-  ignore (check_app ~greedy_list:[ false; true ] inst)
+  ignore (check_app ~policies:[ Plan.One_to_one; Plan.Greedy ] inst)
 
 let test_edge_app () =
   let inst =

@@ -28,7 +28,7 @@ let test_parse_minimal () =
 let test_parse_and_run () =
   let p = Lang.parse minimal in
   let compiled = Pipeline.compile ~machine:Machine.default p.Lang.graph in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   Alcotest.(check int) "no leftovers" 0 result.Sim.leftover_items;
   let collector = List.assoc "out" p.Lang.outputs in
   Alcotest.(check int) "all pixels doubled" (2 * 48)
@@ -77,7 +77,7 @@ dep cam -> total
   Alcotest.(check int) "one dependency edge" 1
     (List.length (Graph.deps p.Lang.graph));
   let compiled = Pipeline.compile ~machine:Machine.default p.Lang.graph in
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
   Alcotest.(check int) "one histogram chunk" 1
     (List.length (Sink.chunks (List.assoc "stats" p.Lang.outputs)));
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items
@@ -134,7 +134,7 @@ let test_fir_program () =
   in
   let p = Lang.parse src in
   let compiled = Pipeline.compile ~machine:Machine.default p.Lang.graph in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   Alcotest.(check int) "fir chunks" (2 * 57)
     (List.length (Sink.chunks (List.assoc "bb" p.Lang.outputs)));
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
@@ -174,7 +174,7 @@ let test_values_const () =
   in
   let p = Lang.parse src in
   let compiled = Pipeline.compile ~machine:Machine.default p.Lang.graph in
-  ignore (Pipeline.simulate compiled ~greedy:false);
+  ignore (Sim.run_plan ~policy:Plan.One_to_one compiled ());
   let chunks = Sink.chunks (List.assoc "o" p.Lang.outputs) in
   Alcotest.(check int) "fir output count" ((6 - 1) * 5) (List.length chunks);
   (* Values were used in scan order: taps [1;2] flipped over [p0;p1] give

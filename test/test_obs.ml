@@ -382,7 +382,7 @@ let test_differential_observer_free () =
   let g = compiled.Pipeline.graph in
   let machine = compiled.Pipeline.machine in
   let run_with_obs () =
-    let mapping = Pipeline.mapping_greedy compiled in
+    let mapping = Plan.mapping compiled ~policy:Plan.Greedy in
     let obs = Instrument.create ~graph:g () in
     let h = Health.create ~graph:g () in
     let result =
@@ -397,7 +397,7 @@ let test_differential_observer_free () =
     result
   in
   let run_bare () =
-    let mapping = Pipeline.mapping_greedy compiled in
+    let mapping = Plan.mapping compiled ~policy:Plan.Greedy in
     Sim.run ~graph:g ~mapping ~machine ()
   in
   let a = run_with_obs () and b = run_bare () in
@@ -440,7 +440,7 @@ let test_chrome_trace_schema () =
       ~channel_observer:(Instrument.channel_observer obs)
       ~state_observer:(Health.state_observer h)
       ~graph:g
-      ~mapping:(Pipeline.mapping_greedy compiled)
+      ~mapping:(Plan.mapping compiled ~policy:Plan.Greedy)
       ~machine:compiled.Pipeline.machine ()
   in
   Instrument.finalize obs ~result;

@@ -8,7 +8,7 @@ let compiled_and_mapping () =
       ~n_frames:1 ()
   in
   let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
-  (compiled.Pipeline.analysis, Pipeline.mapping_one_to_one compiled)
+  (compiled.Pipeline.analysis, Plan.mapping compiled ~policy:Plan.One_to_one)
 
 let test_mesh_side () =
   let an, mapping = compiled_and_mapping () in

@@ -1,9 +1,6 @@
 (* The staged pass manager and the Plan artifact.
 
-   The tentpole guarantees pinned here:
-   - [Plan.run_plan] is bit-exact against the pre-plan
-     [Pipeline.simulate] path over the whole benchmark suite, under both
-     mapping policies (the plan's stored mappings ARE the ad-hoc ones);
+   The guarantees pinned here:
    - every compile yields a complete plan: both mappings realized (or a
      recorded greedy overflow), a placement per realized mapping, a
      schedulability verdict, timings for all ten passes in order;
@@ -24,66 +21,12 @@ let pass_names =
     "analyze-post"; "schedulability"; "map"; "place"; "schedule";
   ]
 
-(* Same signature as the engine-equivalence differential: every
-   observable of a run, compared with exact floats. *)
-let result_signature (r : Sim.result) =
-  let assoc l = List.sort (fun (a, _) (b, _) -> compare a b) l in
-  ( Array.to_list
-      (Array.map
-         (fun (p : Sim.proc_stats) ->
-           (p.Sim.run_s, p.Sim.read_s, p.Sim.write_s, p.Sim.fires))
-         r.Sim.procs),
-    (r.Sim.input_stalls, r.Sim.late_emissions, r.Sim.max_input_lateness_s),
-    assoc r.Sim.sink_eofs,
-    assoc r.Sim.sink_first_data,
-    List.sort compare
-      (List.map
-         (fun (id, (ns : Sim.node_stats)) ->
-           (id, ns.Sim.node_fires, ns.Sim.node_busy_s))
-         r.Sim.node_stats),
-    List.sort compare r.Sim.channel_depths,
-    (r.Sim.leftover_items, r.Sim.timed_out) )
-
-(* Each execution path gets its own freshly built instance: behaviour
-   state and sink collectors are per-instance, and the two paths must
-   not share a mutated graph. *)
+(* A freshly built instance per compile: behaviour state and sink
+   collectors are per-instance, and compiling mutates the graph. *)
 let compile_suite_entry label =
   let e = Apps.Suite.by_label label in
   let inst = e.Apps.Suite.build () in
   (inst, Pipeline.compile ~machine:e.Apps.Suite.machine inst.App.graph)
-
-let test_plan_vs_legacy_differential () =
-  List.iter
-    (fun label ->
-      List.iter
-        (fun policy ->
-          let tag =
-            Printf.sprintf "%s/%s" label (Plan.policy_name policy)
-          in
-          let _, legacy_compiled = compile_suite_entry label in
-          let legacy =
-            Pipeline.simulate legacy_compiled
-              ~greedy:(policy = Plan.Greedy)
-          in
-          let _, plan = compile_suite_entry label in
-          (* run_plan defaults to quasi-static execution, so this also
-             pins the static engine to the fully event-driven legacy path
-             — event counts included, since elided wakes count as
-             processed. test_schedule.ml holds static against dynamic
-             field by field. *)
-          let fresh = Sim.run_plan ~policy plan () in
-          Alcotest.(check (float 0.))
-            (tag ^ ": duration bit-exact")
-            legacy.Sim.duration_s fresh.Sim.duration_s;
-          Alcotest.(check int)
-            (tag ^ ": events processed")
-            legacy.Sim.events_processed fresh.Sim.events_processed;
-          Alcotest.(check bool)
-            (tag ^ ": full result signature")
-            true
-            (result_signature legacy = result_signature fresh))
-        [ Plan.One_to_one; Plan.Greedy ])
-    Apps.Suite.labels
 
 let test_plan_completeness () =
   List.iter
@@ -357,8 +300,6 @@ let test_explain_renders () =
 
 let suite =
   [
-    Alcotest.test_case "plan vs legacy path, whole suite, both policies"
-      `Slow test_plan_vs_legacy_differential;
     Alcotest.test_case "every suite plan is complete" `Slow
       test_plan_completeness;
     Alcotest.test_case "diagnostics order is deterministic" `Slow

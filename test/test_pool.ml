@@ -165,7 +165,7 @@ let test_sim_allocation_budget () =
       ~n_frames:2 ()
   in
   let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
-  let mapping = Pipeline.mapping_one_to_one compiled in
+  let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
   (* One warmup run to fault in code paths. *)
   ignore
     (Sim.run ~graph:compiled.Pipeline.graph ~mapping

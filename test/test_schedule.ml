@@ -2,9 +2,13 @@
 
    Pins the tentpole's exactness claims:
    - [Plan.run_plan] under quasi-static execution is bit-exact against
-     the same plan forced event-driven — every result field compared,
-     floats and event counts included; only the [static_*] telemetry
-     fields may differ;
+     the same plan forced event-driven, with the chunk pool on and off —
+     every result field compared, floats and event counts included;
+     only the [static_*] telemetry and the [pool] counters may differ;
+     every suite run drains;
+   - on the rate-static image-pipeline entries the tables script over
+     half of all firings, and over 90% of those take the slot-indexed
+     path;
    - the suite never desyncs ([static_fallback_events = 0]): per-node
      firing sequences are a function of input item sequences alone, so
      the untimed recorder's tables always match the timed run;
@@ -35,6 +39,23 @@ let strip_static (r : Sim.result) =
     static_elided_events = 0;
   }
 
+(* The share of all firings that the firing tables scripted. *)
+let static_coverage (r : Sim.result) =
+  let fires =
+    List.fold_left
+      (fun acc (_, (ns : Sim.node_stats)) -> acc + ns.Sim.node_fires)
+      0 r.Sim.node_stats
+  in
+  float_of_int r.Sim.static_fired /. float_of_int fires
+
+(* The image-pipeline entries are rate-static: no reactive merge and no
+   user token keeps a kernel out of the static regions, so the tables
+   carry most firings, and every stdlib kernel fires slot-indexed. *)
+let rate_static_labels = [ "SS"; "SF"; "BS"; "BF"; "5" ]
+
+(* Each entry runs four ways: quasi-static and event-driven, each with
+   and without the chunk pool. All four agree on every field but [pool]
+   and the static telemetry, and the pooled pair on [pool] too. *)
 let test_static_vs_dynamic_differential () =
   let any_static = ref false in
   List.iter
@@ -44,23 +65,60 @@ let test_static_vs_dynamic_differential () =
           let tag =
             Printf.sprintf "%s/%s" label (Plan.policy_name policy)
           in
-          let _, p_dyn = compile_suite_entry label in
-          let dyn = Plan.run_plan ~static:false ~policy p_dyn () in
-          let _, p_st = compile_suite_entry label in
-          let st = Plan.run_plan ~policy p_st () in
+          let run ~static ~pool =
+            let _, plan = compile_suite_entry label in
+            Plan.run_plan ~static ~pool ~policy plan ()
+          in
+          let dyn = run ~static:false ~pool:true in
+          let st = run ~static:true ~pool:true in
+          let dyn_unpooled = run ~static:false ~pool:false in
+          let st_unpooled = run ~static:true ~pool:false in
           Alcotest.(check bool)
             (tag ^ ": every non-telemetry result field bit-identical")
             true
             (strip_static dyn = strip_static st);
-          Alcotest.(check int)
-            (tag ^ ": event-driven run carries no static telemetry")
-            0
-            (dyn.Sim.static_regions + dyn.Sim.static_fired
-            + dyn.Sim.static_indexed_fired + dyn.Sim.static_fallback_events
-            + dyn.Sim.static_elided_events);
-          Alcotest.(check int)
-            (tag ^ ": no table desyncs across the suite")
-            0 st.Sim.static_fallback_events;
+          let outcome r = { (strip_static r) with Sim.pool = None } in
+          List.iter
+            (fun (what, r) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s run bit-identical to the pooled one"
+                   tag what)
+                true
+                (outcome r = outcome dyn))
+            [
+              ("unpooled event-driven", dyn_unpooled);
+              ("unpooled quasi-static", st_unpooled);
+            ];
+          Alcotest.(check int) (tag ^ ": every run drains") 0
+            dyn.Sim.leftover_items;
+          List.iter
+            (fun (r : Sim.result) ->
+              Alcotest.(check int)
+                (tag ^ ": event-driven run carries no static telemetry")
+                0
+                (r.Sim.static_regions + r.Sim.static_fired
+               + r.Sim.static_indexed_fired + r.Sim.static_fallback_events
+               + r.Sim.static_elided_events))
+            [ dyn; dyn_unpooled ];
+          List.iter
+            (fun (r : Sim.result) ->
+              Alcotest.(check int)
+                (tag ^ ": no table desyncs across the suite")
+                0 r.Sim.static_fallback_events;
+              if List.mem label rate_static_labels then begin
+                let coverage = static_coverage r in
+                let indexed =
+                  float_of_int r.Sim.static_indexed_fired
+                  /. float_of_int r.Sim.static_fired
+                in
+                if coverage <= 0.5 then
+                  Alcotest.failf "%s: static coverage %.3f not above 0.5" tag
+                    coverage;
+                if indexed <= 0.9 then
+                  Alcotest.failf "%s: indexed share %.3f not above 0.9" tag
+                    indexed
+              end)
+            [ st; st_unpooled ];
           if st.Sim.static_fired > 0 then any_static := true)
         [ Plan.One_to_one; Plan.Greedy ])
     Apps.Suite.labels;
@@ -115,12 +173,7 @@ let test_recorder_matches_engine () =
 let test_coverage_bound_holds () =
   List.iter
     (fun (tag, (plan : Pipeline.t), (r : Sim.result)) ->
-      let fires =
-        List.fold_left
-          (fun acc (_, (ns : Sim.node_stats)) -> acc + ns.Sim.node_fires)
-          0 r.Sim.node_stats
-      in
-      let coverage = float_of_int r.Sim.static_fired /. float_of_int fires in
+      let coverage = static_coverage r in
       let bound = Static_schedule.coverage_bound plan.Pipeline.schedule in
       if coverage > bound then
         Alcotest.failf "%s: runtime static coverage %.4f above the bound %.4f"
@@ -133,7 +186,7 @@ let test_truncated_schedule () =
   let e = Apps.Suite.by_label "SS" in
   let _, plan = compile_suite_entry "SS" in
   let graph = plan.Pipeline.graph in
-  let mapping = Pipeline.mapping_one_to_one plan in
+  let mapping = Plan.mapping plan ~policy:Plan.One_to_one in
   let sched = Static_schedule.build ~max_firings:100 ~graph ~mapping () in
   Alcotest.(check bool) "truncated" true sched.Static_schedule.truncated;
   Alcotest.(check int) "firings counted up to the cap" 101

@@ -359,7 +359,7 @@ let test_channel_occupancy_bounded () =
   in
   let compiled = Pipeline.compile ~machine:Machine.default inst.App.graph in
   let g = compiled.Pipeline.graph in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   List.iter
     (fun (chan_id, depth) ->
       let c = Graph.channel g chan_id in
@@ -469,7 +469,7 @@ let test_pe_budget_exceeded () =
   in
   let compiled = Pipeline.compile ~machine inst.Bp_apps.App.graph in
   Harness.expect_error (Err.Resource_exhausted "") (fun () ->
-      ignore (Pipeline.mapping_greedy compiled))
+      ignore (Plan.mapping compiled ~policy:Plan.Greedy))
 
 let suite =
   suite

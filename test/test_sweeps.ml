@@ -22,7 +22,7 @@ let run_filter_case ~frame ~spec ~golden =
   feed_coeff ();
   Graph.connect g ~from:(k, "out") ~into:(sink, "in");
   let compiled = Pipeline.compile ~machine:Machine.default g in
-  let result = Pipeline.simulate compiled ~greedy:true in
+  let result = Sim.run_plan ~policy:Plan.Greedy compiled () in
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
   let expected = List.map golden frames in
   let out_extent = Image.size (List.hd expected) in
@@ -68,19 +68,19 @@ let image_pipeline_case (w, h, rate_hz) () =
     Apps.Image_pipeline.v ~frame:(Size.v w h) ~rate:(Rate.hz rate_hz)
       ~n_frames:2 ()
   in
-  ignore (check_app ~greedy_list:[ true ] inst)
+  ignore (check_app ~policies:[ Plan.Greedy ] inst)
 
 let edge_case (w, h) () =
   let inst =
     Apps.Edge_app.v ~frame:(Size.v w h) ~rate:(Rate.hz 20.) ~n_frames:2 ()
   in
-  ignore (check_app ~greedy_list:[ false ] inst)
+  ignore (check_app ~policies:[ Plan.One_to_one ] inst)
 
 let bayer_case (w, h) () =
   let inst =
     Apps.Bayer_app.v ~frame:(Size.v w h) ~rate:(Rate.hz 25.) ~n_frames:2 ()
   in
-  ignore (check_app ~greedy_list:[ true ] inst)
+  ignore (check_app ~policies:[ Plan.Greedy ] inst)
 
 let named fmt f cases =
   List.map

@@ -228,6 +228,28 @@ let test_parallelize_memory_overflow_rejected () =
   expect_error (Err.Resource_exhausted "") (fun () ->
       ignore (Parallelize.run Machine.default g))
 
+(* At 5 kHz the 5x5 buffer would need 23 stripes of a frame that has 20
+   window columns. The error must come before the first rewrite, so the
+   graph keeps the shape [buffering] left it in. *)
+let test_parallelize_checks_before_rewriting () =
+  let g = (pipeline_inst ~rate:(Rate.hz 5000.) ()).App.graph in
+  let buffered = ref 0 in
+  let after_pass ~pass graph =
+    if pass = "buffering" then buffered := Graph.size graph
+  in
+  (match
+     Err.guard (fun () -> Pipeline.compile ~after_pass ~machine:Machine.default g)
+   with
+  | Ok _ -> Alcotest.fail "expected parallelize to fail"
+  | Error e ->
+    Alcotest.check err_kind "error class" (Err.Invalid_parameterization "") e;
+    Alcotest.(check bool)
+      "stripe-count message" true
+      (contains (Err.to_string e) "only 20 window columns for 23 stripes"));
+  Alcotest.(check int) "buffering ran" 12 !buffered;
+  Alcotest.(check int) "graph left as buffering made it" !buffered
+    (Graph.size g)
+
 let test_required_cycles_positive () =
   let inst = pipeline_inst () in
   let g = inst.App.graph in
@@ -324,6 +346,8 @@ let suite =
       test_parallelize_buffer_striping;
     Alcotest.test_case "parallelize: serial overload" `Quick
       test_parallelize_serial_overload_rejected;
+    Alcotest.test_case "parallelize: checks before rewriting" `Quick
+      test_parallelize_checks_before_rewriting;
     Alcotest.test_case "parallelize: memory overflow" `Quick
       test_parallelize_memory_overflow_rejected;
     Alcotest.test_case "parallelize: demand positive" `Quick
@@ -414,7 +438,7 @@ let test_pipeline_chain_structure () =
 let test_pipeline_chain_end_to_end () =
   let g, frames, frame, collector = pipeline_chain_app () in
   let compiled = Pipeline.compile ~machine:Machine.default g in
-  let result = Pipeline.simulate compiled ~greedy:false in
+  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
   Alcotest.(check int) "clean" 0 result.Sim.leftover_items;
   let golden =
     List.map (Image.map (fun v -> ((v *. 2.) +. 1.) *. 0.5)) frames
