@@ -153,8 +153,8 @@ let dump_after_arg =
           "Print the graph (nodes, roles, channel counts) as it stands \
            after the named compile pass — one of validate, analyze-pre, \
            align, buffering, parallelize, analyze-post, schedulability, \
-           map, place, schedule. For $(b,schedule), additionally renders \
-           the quasi-static schedule artifact itself: the static-region \
+           map, schedule. For $(b,schedule), additionally renders the \
+           quasi-static schedule artifact itself: the static-region \
            partition and each kernel's prelude/period firing table.")
 
 let explain_arg =
@@ -164,8 +164,8 @@ let explain_arg =
         ~doc:
           "Print the full compilation story: per-pass timings, \
            accumulated diagnostics, the schedulability verdict, and both \
-           mappings with their placements. Exits non-zero if any \
-           error-severity diagnostic was emitted.")
+           mappings with their placements, annealed for this view. Exits \
+           non-zero if any error-severity diagnostic was emitted.")
 
 let compile_cmd =
   let run app width height rate frames machine policy greedy dot dump_after
@@ -274,30 +274,19 @@ let sched_arg =
     & info [ "schedulability" ]
         ~doc:"Print the static per-kernel utilization report.")
 
-let no_pool_arg =
-  Arg.(
-    value & flag
-    & info [ "no-pool" ]
-        ~doc:
-          "Run the simulator's data plane without the chunk pool (every \
-           chunk freshly allocated, releases dropped). Results are \
-           bit-identical; use it to A/B the allocation numbers printed \
-           after the run (see docs/PERFORMANCE.md).")
-
 let no_static_arg =
   Arg.(
     value & flag
     & info [ "no-static" ]
         ~doc:
           "Force fully event-driven dispatch instead of the plan's \
-           quasi-static schedule (pass 10). Results are bit-identical — \
-           only wall time and the static telemetry change; composes with \
-           $(b,--no-pool) to A/B either axis independently (see \
-           docs/PERFORMANCE.md).")
+           quasi-static schedule (the $(b,schedule) pass). Results are \
+           bit-identical — only wall time and the static telemetry \
+           change (see docs/PERFORMANCE.md).")
 
 let simulate_cmd =
   let run app width height rate frames machine policy greedy trace metrics
-      health gantt energy sched no_pool no_static =
+      health gantt energy sched no_static =
     handle_errors_code @@ fun () ->
     let inst, compiled =
       compile_common app width height rate frames machine policy
@@ -338,7 +327,7 @@ let simulate_cmd =
     let gc_before = Bp_obs.Metrics.gc_snapshot () in
     let wall_t0 = Bp_util.Clock.now_s () in
     let result =
-      Plan.run_plan ~pool:(not no_pool) ~static:(not no_static) ?observer
+      Plan.run_plan ~static:(not no_static) ?observer
         ?channel_observer:(Option.map Bp_obs.Instrument.channel_observer obs)
         ?state_observer:(Option.map Bp_obs.Health.state_observer hlt)
         ~policy:(policy_of_greedy greedy) compiled ()
@@ -378,7 +367,7 @@ let simulate_cmd =
            else 100. *. float_of_int p.Bp_image.Pool.hits
                 /. float_of_int acquires)
           p.Bp_image.Pool.hits p.Bp_image.Pool.misses p.Bp_image.Pool.live
-      | None -> ", pool off");
+      | None -> "");
     if result.Sim.static_regions > 0 then
       Format.printf
         "static: %d regions, %d table-matched firings (%d slot-indexed), \
@@ -445,11 +434,9 @@ let simulate_cmd =
          writes a Chrome trace_event timeline, $(b,--metrics) FILE the \
          structured metrics snapshot, $(b,--health) FILE the real-time \
          health snapshot (all JSON; contracts in docs/OBSERVABILITY.md). \
-         $(b,--no-pool) disables the chunk-pool data plane to A/B \
-         allocation behaviour and $(b,--no-static) forces event-driven \
-         dispatch instead of the plan's quasi-static schedule \
-         (docs/PERFORMANCE.md) — results are bit-identical under any \
-         combination of the two. Observer-backed artifacts \
+         $(b,--no-static) forces event-driven dispatch instead of the \
+         plan's quasi-static schedule (docs/PERFORMANCE.md) — results \
+         are bit-identical either way. Observer-backed artifacts \
          ($(b,--trace)/$(b,--metrics)/$(b,--health)/$(b,--gantt)) \
          themselves drop the run to event-driven dispatch, so a bare \
          $(b,bpc simulate) is also the throughput-measurement \
@@ -462,12 +449,11 @@ let simulate_cmd =
          "Compile, simulate, and verify function and throughput (exits \
           non-zero when the run misses the declared rate, deadlocks, or \
           miscomputes); --trace/--metrics/--health write JSON artifacts, \
-          --no-pool A/Bs the data plane, --no-static the dispatch engine")
+          --no-static A/Bs the dispatch engine")
     Term.(
       const run $ app_arg $ width_arg $ height_arg $ rate_arg $ frames_arg
       $ machine_arg $ policy_arg $ greedy_arg $ trace_arg $ metrics_arg
-      $ health_arg $ gantt_arg $ energy_arg $ sched_arg $ no_pool_arg
-      $ no_static_arg)
+      $ health_arg $ gantt_arg $ energy_arg $ sched_arg $ no_static_arg)
 
 let jobs_arg =
   Arg.(

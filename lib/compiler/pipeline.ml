@@ -9,7 +9,6 @@ module Schedulability = Bp_transform.Schedulability
 module Dataflow = Bp_analysis.Dataflow
 module Mapping = Bp_sim.Mapping
 module Static_schedule = Bp_sim.Static_schedule
-module Placement = Bp_placement.Placement
 
 type pass_timing = Pass.timing = {
   pass : string;
@@ -50,10 +49,8 @@ type cstate = {
   mutable st_sched : Schedulability.t option;
   mutable st_one_groups : Graph.node_id list list;
   mutable st_one_mapping : Mapping.t option;
-  mutable st_one_placement : Placement.placement option;
   mutable st_greedy_groups : Graph.node_id list list;
   mutable st_greedy_mapping : (Mapping.t, Err.t) result option;
-  mutable st_greedy_placement : Placement.placement option;
   mutable st_schedule : Static_schedule.t option;
 }
 
@@ -127,26 +124,6 @@ let inv_mappings_total =
       in
       check (Option.map (fun m -> Ok m) st.st_one_mapping);
       check st.st_greedy_mapping )
-
-let inv_tiles_fit =
-  ( "tiles-fit-mesh",
-    fun st ->
-      let check mapping = function
-        | None -> ()
-        | Some (p : Placement.placement) ->
-          let procs = Mapping.processors mapping in
-          if p.Placement.mesh_side * p.Placement.mesh_side < procs then
-            Err.graphf "placement mesh %dx%d cannot hold %d processors"
-              p.Placement.mesh_side p.Placement.mesh_side procs;
-          if not (p.Placement.cost >= 0.) then
-            Err.graphf "placement cost is not a non-negative number"
-      in
-      (match st.st_one_mapping with
-      | Some m -> check m st.st_one_placement
-      | None -> ());
-      match st.st_greedy_mapping with
-      | Some (Ok m) -> check m st.st_greedy_placement
-      | Some (Error _) | None -> () )
 
 (* ---- the passes -------------------------------------------------------- *)
 
@@ -242,27 +219,6 @@ let pass_map =
         "1:1 uses %d PEs, greedy packs them onto %d"
         (List.length one_groups) wanted)
 
-let pass_place =
-  Pass.v "place" ~invariants:[ inv_tiles_fit ] (fun st ->
-      let an = analysis_exn st in
-      (match st.st_one_mapping with
-      | Some m ->
-        let p = Placement.place an m in
-        st.st_one_placement <- Some p;
-        Diag.addf st.st_diags Diag.Info ~pass:"place"
-          "1:1 placement: %dx%d mesh, %.0f word-hops/frame"
-          p.Placement.mesh_side p.Placement.mesh_side p.Placement.cost
-      | None -> Err.graphf "internal: place pass ran before map");
-      match st.st_greedy_mapping with
-      | Some (Ok m) ->
-        let p = Placement.place an m in
-        st.st_greedy_placement <- Some p;
-        Diag.addf st.st_diags Diag.Info ~pass:"place"
-          "greedy placement: %dx%d mesh, %.0f word-hops/frame"
-          p.Placement.mesh_side p.Placement.mesh_side p.Placement.cost
-      | Some (Error _) -> ()
-      | None -> Err.graphf "internal: place pass ran before map")
-
 (* The schedule pass is a pure artifact producer: it mutates nothing in
    the graph, so its invariants are about the artifact itself. *)
 let inv_regions_partition =
@@ -316,7 +272,7 @@ let pass_schedule =
 
 (* The sizing prefix, passes 1-8: everything the Section V PE counts and
    the Section IV verdict depend on. [size] stops here; [compile] goes on
-   to place and schedule. *)
+   to schedule. *)
 let sizing_passes =
   [
     pass_validate;
@@ -329,7 +285,7 @@ let sizing_passes =
     pass_map;
   ]
 
-let passes = sizing_passes @ [ pass_place; pass_schedule ]
+let passes = sizing_passes @ [ pass_schedule ]
 
 let run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes =
   let st =
@@ -345,10 +301,8 @@ let run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes =
       st_sched = None;
       st_one_groups = [];
       st_one_mapping = None;
-      st_one_placement = None;
       st_greedy_groups = [];
       st_greedy_mapping = None;
-      st_greedy_placement = None;
       st_schedule = None;
     }
   in
@@ -381,18 +335,11 @@ let compile ?align_policy ?diags ?after_pass ~machine g =
       {
         Plan.groups = st.st_one_groups;
         mapping = require "a 1:1 mapping" st.st_one_mapping;
-        placement = require "a 1:1 placement" st.st_one_placement;
       };
     greedy =
-      (match require "a greedy mapping" st.st_greedy_mapping with
-      | Ok mapping ->
-        Ok
-          {
-            Plan.groups = st.st_greedy_groups;
-            mapping;
-            placement = require "a greedy placement" st.st_greedy_placement;
-          }
-      | Error e -> Error e);
+      Result.map
+        (fun mapping -> { Plan.groups = st.st_greedy_groups; mapping })
+        (require "a greedy mapping" st.st_greedy_mapping);
     greedy_groups = st.st_greedy_groups;
     schedule = require "a schedule" st.st_schedule;
     diagnostics = Diag.list diags;

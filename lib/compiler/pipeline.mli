@@ -22,8 +22,6 @@
     + [map] — both kernel-to-processor mappings (Section V): 1:1 and
       greedy multiplexed; a greedy overflow of the machine's PE budget is
       recorded, not raised;
-    + [place] — annealed mesh placement of each realized mapping
-      (Section IV-D);
     + [schedule] — quasi-static schedule recovery: an untimed functional
       execution of the elaborated graph records each kernel's firing
       sequence, segments it at end-of-frame boundaries into a prelude
@@ -35,6 +33,9 @@
     Passes 1–8 are the sizing prefix: they alone decide the PE counts
     and the schedulability verdict, and {!size} runs just them.
 
+    No pass places: as in the paper, which kept its annealer out of the
+    flow (Section IV-D), {!Plan.placement} anneals on demand.
+
     Each pass is timed with the monotonic clock and checked by its
     post-invariants at the pass barrier — see {!Pass}. Failures carry
     the failing pass's name and leave partial timings and an error
@@ -44,7 +45,7 @@ type pass_timing = Pass.timing = {
   pass : string;
       (** Pass name: ["validate" | "analyze-pre" | "align" | "buffering" |
           "parallelize" | "analyze-post" | "schedulability" | "map" |
-          "place" | "schedule"], in execution order. *)
+          "schedule"], in execution order. *)
   wall_s : float;  (** Monotonic wall seconds spent in the pass. *)
   nodes_before : int;
   nodes_after : int;
@@ -104,13 +105,13 @@ val size :
   Bp_graph.Graph.t ->
   sizing
 (** [size ~machine g] runs only the sizing prefix, passes 1–8
-    ([validate] … [map]), in place on [g], and skips [place] and
-    [schedule]. The prefix is the same pass list [compile] starts with
-    and runs through the same {!Pass.run_all} barrier, so its
-    invariants, error classes and pass-name wrapping are those of
-    [compile]; a graph on which [compile] would fail within the first
-    eight passes fails here with the same {!Bp_util.Err.t}. This is
-    the probe {!Rate_search} runs at each rate. *)
+    ([validate] … [map]), in place on [g], and skips [schedule]. The
+    prefix is the same pass list [compile] starts with and runs through
+    the same {!Pass.run_all} barrier, so its invariants, error classes
+    and pass-name wrapping are those of [compile]; a graph on which
+    [compile] would fail within the first eight passes fails here with
+    the same {!Bp_util.Err.t}. This is the probe {!Rate_search} runs at
+    each rate. *)
 
 (** {1 Rendering} *)
 

@@ -15,11 +15,7 @@ type policy = One_to_one | Greedy
 
 let policy_name = function One_to_one -> "1:1" | Greedy -> "greedy"
 
-type mapped = {
-  groups : Graph.node_id list list;
-  mapping : Mapping.t;
-  placement : Placement.placement;
-}
+type mapped = { groups : Graph.node_id list list; mapping : Mapping.t }
 
 type t = {
   graph : Graph.t;
@@ -43,7 +39,7 @@ let mapped t ~policy =
   | Greedy -> ( match t.greedy with Ok m -> m | Error e -> Err.fail e)
 
 let mapping t ~policy = (mapped t ~policy).mapping
-let placement t ~policy = (mapped t ~policy).placement
+let placement t ~policy = Placement.place t.analysis (mapping t ~policy)
 
 let processors_needed t ~policy =
   match policy with
@@ -52,23 +48,12 @@ let processors_needed t ~policy =
 
 let errors t = Diag.errors t.diagnostics
 
-let run_plan ?max_time_s ?max_events ?pool ?chunk_pool
-    ?(with_placement = false) ?(hop_cycles_per_word = 0.5) ?(static = true)
-    ?observer ?channel_observer ?state_observer ~policy t () =
-  let m = mapped t ~policy in
-  let placement =
-    if with_placement then
-      Some
-        {
-          Sim.tile_of_proc = m.placement.Placement.tile_of;
-          hop_cycles_per_word;
-        }
-    else None
-  in
+let run_plan ?max_time_s ?max_events ?chunk_pool ?(static = true) ?observer
+    ?channel_observer ?state_observer ~policy t () =
   let static_schedule = if static then Some t.schedule else None in
-  Sim.run ?max_time_s ?max_events ?pool ?chunk_pool ?placement ?observer
-    ?channel_observer ?state_observer ?static_schedule ~graph:t.graph
-    ~mapping:m.mapping ~machine:t.machine ()
+  Sim.run ?max_time_s ?max_events ?chunk_pool ?observer ?channel_observer
+    ?state_observer ?static_schedule ~graph:t.graph
+    ~mapping:(mapping t ~policy) ~machine:t.machine ()
 
 (* ---- rendering --------------------------------------------------------- *)
 
@@ -114,11 +99,13 @@ let pp_diagnostics ppf t =
     List.iter (fun d -> Format.fprintf ppf "  %a@," Diag.pp d) ds;
     Format.fprintf ppf "@]"
 
-let pp_mapped ppf (name, m) =
+let pp_mapped ppf t policy =
+  let p = placement t ~policy in
   Format.fprintf ppf
-    "  %-7s %d PEs, placement %dx%d mesh, %.0f word-hops/frame@," name
-    (List.length m.groups) m.placement.Placement.mesh_side
-    m.placement.Placement.mesh_side m.placement.Placement.cost
+    "  %-7s %d PEs, placement %dx%d mesh, %.0f word-hops/frame@,"
+    (policy_name policy)
+    (List.length (mapped t ~policy).groups)
+    p.Placement.mesh_side p.Placement.mesh_side p.Placement.cost
 
 let pp_explain ppf t =
   Format.fprintf ppf "@[<v>%a%a" pp_timings t pp_diagnostics t;
@@ -134,9 +121,9 @@ let pp_explain ppf t =
       (100. *. b.Schedulability.utilization)
   | None -> ());
   Format.fprintf ppf "mappings:@,";
-  pp_mapped ppf ("1:1", t.one_to_one);
+  pp_mapped ppf t One_to_one;
   (match t.greedy with
-  | Ok m -> pp_mapped ppf ("greedy", m)
+  | Ok _ -> pp_mapped ppf t Greedy
   | Error e ->
     Format.fprintf ppf "  %-7s unavailable: %a@," "greedy" Err.pp e);
   (if t.schedule.Static_schedule.truncated then

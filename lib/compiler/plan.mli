@@ -2,13 +2,17 @@
 
     [Pipeline.compile] drives the staged pass manager ({!Pass}) through
     the paper's whole flow — dataflow analysis, alignment repair,
-    buffering, parallelization, schedulability, mapping/multiplexing and
-    placement (Section III–V) — and lands everything in one [Plan.t]:
-    the elaborated graph, the machine, both mappings with their annealed
-    placements, the a-priori schedulability verdict, the structural
-    by-products of every transform, the accumulated diagnostics and the
-    per-pass timings. Downstream consumers ([bpc simulate], [bpc
-    report], {!Bp_obs}) read the plan instead of re-deriving any of it.
+    buffering, parallelization, schedulability and mapping/multiplexing
+    (Sections III–V) — and lands everything in one [Plan.t]: the
+    elaborated graph, the machine, both mappings, the a-priori
+    schedulability verdict, the structural by-products of every
+    transform, the accumulated diagnostics and the per-pass timings.
+    Downstream consumers ([bpc simulate], [bpc report], {!Bp_obs}) read
+    the plan instead of re-deriving any of it.
+
+    Placement is not part of the flow: as in the paper, which kept its
+    annealer out of the compiler because placement does not change
+    throughput (Section IV-D), {!placement} anneals on demand.
 
     {!run_plan} is the execution entry that consumes a plan (re-exported
     as [Sim.run_plan] by the [Block_parallel] façade). *)
@@ -24,8 +28,6 @@ type mapped = {
   groups : Bp_graph.Graph.node_id list list;
       (** Kernels per processor, in processor order. *)
   mapping : Bp_sim.Mapping.t;
-  placement : Bp_placement.Placement.placement;
-      (** Annealed mesh placement of the mapping's processors. *)
 }
 (** A mapping policy's realized artifacts. *)
 
@@ -48,9 +50,9 @@ type t = {
       (** The greedy grouping itself, present even on overflow — the
           processor-count query must not depend on the machine bound. *)
   schedule : Bp_sim.Static_schedule.t;
-      (** The quasi-static schedule (pass 10): per-kernel periodic firing
-          tables and the static-region partition, recovered by the
-          untimed recorder. {!run_plan} hands it to the simulator by
+      (** The quasi-static schedule (the [schedule] pass): per-kernel
+          periodic firing tables and the static-region partition,
+          recovered by the untimed recorder. {!run_plan} hands it to the simulator by
           default; [--dump-after schedule] renders it. *)
   diagnostics : Bp_util.Diag.t list;  (** In emission order. *)
   timings : Pass.timing list;  (** In execution order. *)
@@ -63,7 +65,12 @@ val mapped : t -> policy:policy -> mapped
     machine this raises the recorded {!Bp_util.Err.Resource_exhausted}. *)
 
 val mapping : t -> policy:policy -> Bp_sim.Mapping.t
+
 val placement : t -> policy:policy -> Bp_placement.Placement.placement
+(** [placement t ~policy] anneals a mesh placement of the policy's
+    mapping: {!Bp_placement.Placement.place} over [t.analysis], computed
+    afresh on every call. The annealer is seeded, so every call returns
+    the same placement. Raises like {!mapped}. *)
 
 val processors_needed : t -> policy:policy -> int
 (** Processors the policy wants, regardless of the machine bound. *)
@@ -77,10 +84,7 @@ val errors : t -> Bp_util.Diag.t list
 val run_plan :
   ?max_time_s:float ->
   ?max_events:int ->
-  ?pool:bool ->
   ?chunk_pool:Bp_image.Pool.t ->
-  ?with_placement:bool ->
-  ?hop_cycles_per_word:float ->
   ?static:bool ->
   ?observer:
     (time_s:float ->
@@ -110,16 +114,14 @@ val run_plan :
   Bp_sim.Sim.result
 (** Simulate the plan under the chosen mapping policy — the plan-driven
     twin of {!Bp_sim.Sim.run}, which it parameterizes entirely from the
-    plan: graph, machine, and the policy's stored mapping.
-    [with_placement] (default [false], matching the paper's Section IV-D
-    argument that placement does not affect throughput) additionally
-    applies the plan's annealed placement as a NoC delay model with
-    [hop_cycles_per_word] (default 0.5) extra write cycles per hop. All
-    other options — including the [chunk_pool] lending path of
-    docs/PARALLELISM.md — pass through to {!Bp_sim.Sim.run} unchanged.
-    [static] (default [true]) supplies the plan's pass-10 schedule to
-    the simulator, enabling quasi-static execution when no observer is
-    installed; [~static:false] (`bpc simulate --no-static`) forces fully
+    plan: graph, machine, and the policy's stored mapping. The other
+    options — including the [chunk_pool] lending path of
+    docs/PARALLELISM.md — pass through to {!Bp_sim.Sim.run} unchanged;
+    a run under the NoC delay model of a placement calls
+    {!Bp_sim.Sim.run} with [?placement] directly. [static] (default
+    [true]) supplies the plan's [schedule] artifact to the simulator,
+    enabling quasi-static execution when no observer is installed;
+    [~static:false] (`bpc simulate --no-static`) forces fully
     event-driven dispatch. Results are bit-identical either way —
     [events_processed] included, elided wakes are counted — except for
     the [static_*] telemetry fields; see {!Bp_sim.Sim.run}. *)

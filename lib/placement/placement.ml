@@ -162,6 +162,11 @@ let place ?(options = default_options) an mapping =
   done;
   (* Recompute exactly to wash out float drift from incremental updates. *)
   let final = cost_of_tiles tr tile_of in
+  if side * side < procs then
+    Err.graphf "placement mesh %dx%d cannot hold %d processors" side side
+      procs;
+  if not (final >= 0.) then
+    Err.graphf "placement cost is not a non-negative number";
   { mesh_side = side; tile_of; cost = final }
 
 let pp ppf t =

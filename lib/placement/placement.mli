@@ -41,7 +41,10 @@ val place :
   Bp_sim.Mapping.t ->
   placement
 (** Anneal a placement for the mapping's processors. The mesh side is the
-    smallest square that fits them. *)
+    smallest square that fits them. Postcondition, checked before
+    returning: the mesh holds every processor and the cost is a
+    non-negative number; a violation raises
+    {!Bp_util.Err.Graph_malformed}. *)
 
 val random_placement :
   seed:int -> Bp_analysis.Dataflow.t -> Bp_sim.Mapping.t -> placement

@@ -696,7 +696,6 @@ let placement_ablation ppf =
   let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
   let an = compiled.Pipeline.analysis in
   let random = Bp_placement.Placement.random_placement ~seed:5 an mapping in
-  (* The annealed placement is already in the plan — the [place] pass ran. *)
   let annealed = Plan.placement compiled ~policy:Plan.One_to_one in
   let out =
     {

@@ -34,7 +34,7 @@ type result = {
   leftover_items : int;
   events_processed : int;
   timed_out : bool;
-  pool : Pool.stats option;  (* chunk-pool counters; None when pooling off *)
+  pool : Pool.stats option;  (* chunk-pool counters; None from Sim_reference *)
   static_regions : int;  (* static regions of the schedule, 0 if none *)
   static_fired : int;  (* firings that matched their table entry *)
   static_indexed_fired : int;  (* of those, dispatched via the slot ABI *)
@@ -290,8 +290,8 @@ let find_port what (rt : node_rt) (a : (string * 'a) array) port =
 
 (* ---- main engine ------------------------------------------------------ *)
 
-let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
-    ?chunk_pool ?placement ?observer ?channel_observer ?state_observer
+let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
+    ?placement ?observer ?channel_observer ?state_observer
     ?static_schedule ~graph:g ~mapping ~machine () =
   Graph.validate g;
   let pe = machine.Machine.pe in
@@ -367,25 +367,18 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
   in
   (* One pool for the whole run. Every chunk a behaviour acquires or pops
      and does not push onward comes back here, so steady state recycles a
-     fixed working set instead of allocating. [~pool:false] falls back to
-     the allocation-naive plane (releases are dropped, acquires allocate)
-     for A/B measurement — results are bit-identical either way.
-     [?chunk_pool] lends an existing pool instead — the per-domain reuse
-     path of docs/PARALLELISM.md: a sweep worker keeps its free lists
-     warm across runs, and this run's [result.pool] reports the deltas
-     it contributed. Acquired buffers are zeroed in all three modes, so
-     the simulated outcome never depends on the choice. *)
+     fixed working set instead of allocating. [?chunk_pool] lends an
+     existing pool instead — the per-domain reuse path of
+     docs/PARALLELISM.md: a sweep worker keeps its free lists warm across
+     runs, and this run's [result.pool] reports the deltas it
+     contributed. Acquired buffers are zeroed either way, so the
+     simulated outcome never depends on the choice. *)
   let pool_before = Option.map Pool.stats chunk_pool in
   let chunk_pool =
-    match chunk_pool with
-    | Some _ as lent -> lent
-    | None -> if pool then Some (Pool.create ()) else None
+    match chunk_pool with Some p -> p | None -> Pool.create ()
   in
-  let acquire_chunk, release_chunk =
-    match chunk_pool with
-    | Some p -> ((fun s -> Pool.acquire p s), fun img -> Pool.release p img)
-    | None -> (Image.create, fun _ -> ())
-  in
+  let acquire_chunk s = Pool.acquire chunk_pool s in
+  let release_chunk img = Pool.release chunk_pool img in
   let dummy_io =
     let fail _ = assert false in
     { Behaviour.peek = fail; pop = fail; push = (fun _ _ -> assert false);
@@ -750,14 +743,12 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
             if Ring.is_full c.ring then
               Err.graphf "%s: push to full channel on %S" rt.node.Graph.name
                 port;
-            (* Fan-out under pooling: each channel's consumer will own
-               (and eventually release) its chunk, so channels beyond the
-               first receive pool-backed copies — sharing one physical
-               buffer would let it re-enter the pool twice. Without the
-               pool, sharing is safe (nothing recycles) and matches the
-               reference engine. *)
+            (* Fan-out: each channel's consumer will own (and eventually
+               release) its chunk, so channels beyond the first receive
+               pool-backed copies — sharing one physical buffer would let
+               it re-enter the pool twice. *)
             let item =
-              if i = 0 || not pool then item
+              if i = 0 then item
               else
                 match item with
                 | Item.Data img ->
@@ -836,10 +827,10 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
           let cs = ix_out.(s) in
           for i = 0 to Array.length cs - 1 do
             let c = cs.(i) in
-            (* Fan-out under pooling: pool-backed copies beyond channel 0,
-               exactly as [build_io.push]. *)
+            (* Fan-out: pool-backed copies beyond channel 0, exactly as
+               [build_io.push]. *)
             let item =
-              if i = 0 || not pool then item
+              if i = 0 then item
               else
                 match item with
                 | Item.Data img ->
@@ -1663,18 +1654,18 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?(pool = true)
     static_fallback_events = !static_fallback;
     static_elided_events = !static_elided;
     pool =
-      (match (Option.map Pool.stats chunk_pool, pool_before) with
-      | Some s, Some b ->
-        (* Lent pool: report only this run's contribution. *)
-        Some
-          {
-            Pool.hits = s.Pool.hits - b.Pool.hits;
-            misses = s.Pool.misses - b.Pool.misses;
-            releases = s.Pool.releases - b.Pool.releases;
-            live = s.Pool.live - b.Pool.live;
-          }
-      | s, None -> s
-      | None, Some _ -> assert false);
+      (let s = Pool.stats chunk_pool in
+       match pool_before with
+       | None -> Some s
+       | Some b ->
+         (* Lent pool: report only this run's contribution. *)
+         Some
+           {
+             Pool.hits = s.Pool.hits - b.Pool.hits;
+             misses = s.Pool.misses - b.Pool.misses;
+             releases = s.Pool.releases - b.Pool.releases;
+             live = s.Pool.live - b.Pool.live;
+           });
   }
 
 let first_output_latency_s r =

@@ -92,9 +92,9 @@ type result = {
   timed_out : bool;
   pool : Bp_image.Pool.stats option;
       (** Chunk-pool counters for the run's data plane ([None] when the
-          run was started with [~pool:false] or came from the
-          allocation-naive reference engine). The hit rate is the fraction
-          of chunk acquisitions served by recycling. *)
+          result came from the allocation-naive reference engine). The
+          hit rate is the fraction of chunk acquisitions served by
+          recycling. *)
   static_regions : int;
       (** Static regions of the schedule the run executed under (0 when
           no schedule was supplied or quasi-static mode was inactive). *)
@@ -167,7 +167,6 @@ val kernel_state_name : kernel_state -> string
 val run :
   ?max_time_s:float ->
   ?max_events:int ->
-  ?pool:bool ->
   ?chunk_pool:Bp_image.Pool.t ->
   ?placement:placement_model ->
   ?observer:
@@ -200,20 +199,18 @@ val run :
   result
 (** Simulate until quiescent. [max_time_s] (default 300 simulated seconds)
     and [max_events] (default 50 million) bound runaway graphs; hitting
-    either sets [timed_out]. [pool] (default [true]) runs the data plane
-    through a per-run chunk pool ({!Bp_image.Pool}): behaviours acquire
-    output chunks and release consumed inputs, so steady state recycles a
-    fixed working set instead of allocating per firing. [~pool:false] is
-    the allocation-naive escape hatch (`bpc simulate --no-pool`); results
-    are bit-identical either way, only GC behavior differs. [chunk_pool]
-    lends an existing pool instead of creating one (it overrides [pool]):
-    the per-domain reuse path of docs/PARALLELISM.md, where a sweep
-    worker owns one pool and threads it through every run it executes,
-    keeping free lists warm across runs. The lender keeps ownership;
-    [result.pool] then reports this run's {e deltas} (its hit/miss/
-    release contribution), and simulated outcomes remain bit-identical
-    in all three modes — acquired buffers are always all-zero. A pool
-    must never be lent to two concurrently running simulations
+    either sets [timed_out]. The data plane runs through a per-run chunk
+    pool ({!Bp_image.Pool}): behaviours acquire output chunks and release
+    consumed inputs, so steady state recycles a fixed working set
+    instead of allocating per firing. The allocation-naive oracle is
+    {!Sim_reference}. [chunk_pool] lends an existing pool instead of
+    creating one: the per-domain reuse path of docs/PARALLELISM.md,
+    where a sweep worker owns one pool and threads it through every run
+    it executes, keeping free lists warm across runs. The lender keeps
+    ownership; [result.pool] then reports this run's {e deltas} (its
+    hit/miss/release contribution), and simulated outcomes remain
+    bit-identical either way — acquired buffers are always all-zero. A
+    pool must never be lent to two concurrently running simulations
     ({!Bp_image.Pool} is not domain-safe; one owner domain at a time). [observer] is invoked for every on-chip kernel
     firing with its start time, processor, and service time — the hook the
     {!Trace} module records through. [channel_observer] is invoked on every
@@ -230,11 +227,11 @@ val run :
     [result] is identical with and without them (asserted in
     [test/test_obs.ml]).
 
-    [static_schedule] supplies a quasi-static schedule (the compiler's
-    pass-10 artifact) and, when no observer is installed, switches the
-    engine to quasi-static execution: kernels whose [starved] oracle
-    proves the next attempt would decline are skipped without entering
-    their [try_step], and a processor whose kernels are all provably
+    [static_schedule] supplies a quasi-static schedule (the artifact of
+    the compiler's [schedule] pass) and, when no observer is installed,
+    switches the engine to quasi-static execution: kernels whose
+    [starved] oracle proves the next attempt would decline are skipped
+    without entering their [try_step], and a processor whose kernels are all provably
     starved at fire time elides its end-of-service wake event (restored,
     at the exact time and heap rank of the eager push, by the first
     adjacent channel change). Both moves remove only examinations that

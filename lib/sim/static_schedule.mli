@@ -1,9 +1,9 @@
 (** Quasi-static schedules: per-kernel periodic firing tables and the
     partition of a mapped graph into static regions.
 
-    Built by the compiler's [schedule] pass (pass 10) from an untimed
-    functional execution of the graph — the "recorder" — and carried in
-    the {!Bp_compiler.Plan.t} artifact. The timed engine
+    Built by the compiler's [schedule] pass, the last of nine, from an
+    untimed functional execution of the graph — the "recorder" — and
+    carried in the {!Bp_compiler.Plan.t} artifact. The timed engine
     ({!Sim.run} [?static_schedule]) uses the artifact to {e report} how
     much of a run matched the predicted firing pattern; its correctness
     never depends on the tables. What makes quasi-static execution exact

@@ -31,17 +31,21 @@ let required_cycles_per_s an machine id =
     in
     per_frame *. Rate.to_hz rate
 
-(* A buffer's output window, its input channel in [g], and that channel's
-   stream in [an]. *)
-let buffer_input g an (n : Graph.node) =
-  let window =
-    match n.Graph.spec.Spec.outputs with
-    | [ p ] -> p.Port.window
-    | _ -> Err.graphf "buffer %s must have one output" n.Graph.name
-  in
+let buffer_window (n : Graph.node) =
+  match n.Graph.spec.Spec.outputs with
+  | [ p ] -> p.Port.window
+  | _ -> Err.graphf "buffer %s must have one output" n.Graph.name
+
+let buffer_in_channel g (n : Graph.node) =
   match Graph.in_channel g n.Graph.id "in" with
-  | Some c -> (window, c, Dataflow.stream_of an c.Graph.chan_id)
+  | Some c -> c
   | None -> Err.graphf "buffer %s input not connected" n.Graph.name
+
+(* A buffer's input stream, read through its input channel in the
+   analyzed graph. *)
+let buffer_stream an (n : Graph.node) =
+  let c = buffer_in_channel (Dataflow.graph an) n in
+  Dataflow.stream_of an c.Graph.chan_id
 
 (* How many stripes a buffer needs so each stripe fits one PE's memory and
    keeps up with its input share. *)
@@ -49,8 +53,8 @@ let buffer_stripes an machine id =
   let g = Dataflow.graph an in
   let n = Graph.node g id in
   let pe = machine.Machine.pe in
-  let window, _, s = buffer_input g an n in
-  let frame = s.Stream.extent in
+  let window = buffer_window n in
+  let frame = (buffer_stream an n).Stream.extent in
   let cpu = required_cycles_per_s an machine id in
   let degree_cpu =
     int_of_float (Float.ceil (cpu /. Machine.usable_cycles_per_s machine))
@@ -399,9 +403,12 @@ let replicate_compute g (n : Graph.node) d =
       out_channels;
     replicas
 
-(* Rewrite one buffer into [m] column stripes (Figure 10). *)
-let split_buffer g an (n : Graph.node) m =
-  let window, in_c, s = buffer_input g an n in
+(* Rewrite one buffer into [m] column stripes (Figure 10). [s] is the
+   buffer's input stream as the pre-rewrite analysis saw it: a rewrite of
+   the buffer's producer replaces its input channel, but not the stream
+   that channel carries. *)
+let split_buffer g (n : Graph.node) s m =
+  let window = buffer_window n in
   if not (Size.equal s.Stream.chunk Size.one) then
     Err.unsupportedf "buffer %s: only pixel-fed buffers can be split"
       n.Graph.name;
@@ -409,9 +416,18 @@ let split_buffer g an (n : Graph.node) m =
   let ranges =
     Split_join.stripe_ranges ~frame_w:frame.Size.w ~window ~parts:m
   in
+  Array.iteri
+    (fun k (c0, _) ->
+      if k > 0 && c0 > snd ranges.(k - 1) then
+        Err.unsupportedf
+          "buffer %s: stripes %d and %d leave a gap; stepped buffers \
+           cannot be split"
+          n.Graph.name (k - 1) k)
+    ranges;
   let pattern =
     Split_join.stripe_windows_per_row ~frame_w:frame.Size.w ~window ~ranges
   in
+  let in_c = buffer_in_channel g n in
   let out_cs = Graph.out_channels g n.Graph.id ~port:"out" () in
   let base_name = n.Graph.name in
   let from = (in_c.Graph.src.Graph.node, in_c.Graph.src.Graph.port) in
@@ -470,7 +486,8 @@ let run machine g =
   let an = Dataflow.analyze g in
   (* Everything is decided against the pre-rewrite analysis: detect
      pipeline chains, compute degrees and dependency caps, snapshot the
-     node list, check every rewrite — only then mutate the graph. *)
+     node list, record the input stream of each buffer to split, check
+     every rewrite — only then mutate the graph. *)
   let chains = pipeline_chains an in
   let chain_members = List.concat chains |> List.sort_uniq Int.compare in
   let in_chain id = List.mem id chain_members in
@@ -503,23 +520,6 @@ let run machine g =
         })
       chain_plan
   in
-  (* The exception: a buffer fed by a node that a rewrite replaces looks
-     its stream up through the rewrite's new channel, and fails. Below a
-     chain that happens as the plan is built, so the chains go first;
-     below a node of the plan, the checks stop at the buffer. *)
-  let fed_by replaced (n : Graph.node) =
-    n.Graph.spec.Spec.role = Spec.Buffer
-    &&
-    match Graph.in_channel g n.Graph.id "in" with
-    | Some c -> List.mem c.Graph.src.Graph.node replaced
-    | None -> false
-  in
-  let chain_ids = List.concat_map fst chain_plan in
-  let chains_first =
-    if List.exists (fed_by chain_ids) original_nodes then
-      Some (rewrite_chains ())
-    else None
-  in
   let pe = machine.Machine.pe in
   let plan =
     List.filter_map
@@ -530,7 +530,10 @@ let run machine g =
         match n.Graph.spec.Spec.role with
         | Spec.Buffer ->
           let _, reason = buffer_stripes an machine n.Graph.id in
-          if d > 1 then Some (n, d, reason) else None
+          if d > 1 then
+            let s = buffer_stream an n in
+            Some (n, d, reason, fun () -> split_buffer g n s d)
+          else None
         | Spec.Compute ->
           if Spec.memory_words n.Graph.spec > pe.Machine.mem_words then
             Err.resourcef "kernel %s does not fit in PE memory (%d > %d)"
@@ -548,29 +551,20 @@ let run machine g =
               if Hashtbl.mem capped n.Graph.id then Capped_by_dependency
               else Cpu_bound
             in
-            Some (n, d, reason)
+            Some (n, d, reason, fun () -> replicate_compute g n d)
           end
           else None
         | _ -> None)
       original_nodes
   in
-  let rewrite ((n : Graph.node), d, _) =
-    match n.Graph.spec.Spec.role with
-    | Spec.Buffer -> split_buffer g an n d
-    | _ -> replicate_compute g n d
-  in
-  let rec check replaced = function
-    | (((n : Graph.node), _, _) as entry) :: rest when not (fed_by replaced n) ->
-      check_only (rewrite entry);
-      check (n.Graph.id :: replaced) rest
-    | _ -> ()
-  in
-  check chain_ids plan;
-  let chain_decisions =
-    match chains_first with Some ds -> ds | None -> rewrite_chains ()
-  in
+  (* [stage ()] stages an entry's rewrite on the graph as it stands: once
+     here for its checks, and again when it is applied, after earlier
+     rewrites may have replaced the entry's channels. *)
+  List.iter (fun (_, _, _, stage) -> check_only (stage ())) plan;
+  let chain_decisions = rewrite_chains () in
   chain_decisions
   @ List.map
-      (fun (((n : Graph.node), d, reason) as entry) ->
-        { original = n.Graph.name; degree = d; reason; replicas = rewrite entry () })
+      (fun ((n : Graph.node), d, reason, stage) ->
+        let rewrite = stage () in
+        { original = n.Graph.name; degree = d; reason; replicas = rewrite () })
       plan

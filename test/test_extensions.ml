@@ -293,7 +293,7 @@ let test_energy_greedy_saves_static () =
   Alcotest.(check bool) "less total energy" true
     (e_gm.Energy.total_uj < e_1to1.Energy.total_uj)
 
-let test_energy_with_placement () =
+let test_energy_of_placed_run () =
   let _, compiled = compiled_example () in
   let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
   let placement = Placement.place compiled.Pipeline.analysis mapping in
@@ -383,7 +383,7 @@ let suite =
     Alcotest.test_case "energy: greedy saves static" `Quick
       test_energy_greedy_saves_static;
     Alcotest.test_case "energy: with placement" `Quick
-      test_energy_with_placement;
+      test_energy_of_placed_run;
     Alcotest.test_case "trace: records firings" `Quick
       test_trace_records_firings;
     Alcotest.test_case "trace: summary and gantt" `Quick
@@ -430,6 +430,9 @@ let test_placement_affects_latency_not_throughput () =
   in
   Alcotest.(check bool) "latency does not decrease" true
     (lat with_noc >= lat base -. 1e-12);
+  (* The NoC model only ever adds write cycles. *)
+  Alcotest.(check bool) "placement never speeds the run" true
+    (with_noc.Sim.duration_s >= base.Sim.duration_s);
   (* The hop delay shows up as extra write time. *)
   let write r =
     Array.fold_left (fun acc (p : Sim.proc_stats) -> acc +. p.Sim.write_s) 0. r.Sim.procs

@@ -566,7 +566,7 @@ let test_pass_timings () =
   Alcotest.(check (list string)) "passes in order"
     [
       "validate"; "analyze-pre"; "align"; "buffering"; "parallelize";
-      "analyze-post"; "schedulability"; "map"; "place"; "schedule";
+      "analyze-post"; "schedulability"; "map"; "schedule";
     ]
     names;
   List.iter

@@ -2,8 +2,10 @@
 
    The guarantees pinned here:
    - every compile yields a complete plan: both mappings realized (or a
-     recorded greedy overflow), a placement per realized mapping, a
-     schedulability verdict, timings for all ten passes in order;
+     recorded greedy overflow), a schedulability verdict, timings for
+     all nine passes in order;
+   - [Plan.placement] anneals on demand, deterministically, and gives
+     the placements the retired [place] pass stored;
    - diagnostics are deterministic: two compiles of the same program
      render identical diagnostic lists;
    - a failing pass leaves evidence behind: the error names the pass and
@@ -18,7 +20,7 @@ open Harness
 let pass_names =
   [
     "validate"; "analyze-pre"; "align"; "buffering"; "parallelize";
-    "analyze-post"; "schedulability"; "map"; "place"; "schedule";
+    "analyze-post"; "schedulability"; "map"; "schedule";
   ]
 
 (* A freshly built instance per compile: behaviour state and sink
@@ -28,9 +30,30 @@ let compile_suite_entry label =
   let inst = e.Apps.Suite.build () in
   (inst, Pipeline.compile ~machine:e.Apps.Suite.machine inst.App.graph)
 
+(* Mesh side and cost (word-hops/frame) of each suite entry's placement
+   per policy, as the compile-time [place] pass stored them before
+   placement moved out of the pass list. *)
+let expected_placements =
+  [
+    ("1", (2, 2588.), (2, 2588.));
+    ("1F", (2, 2588.), (2, 2588.));
+    ("2", (2, 64.), (1, 0.));
+    ("2F", (3, 656.), (3, 560.));
+    ("3", (4, 119208.), (4, 104080.));
+    ("4", (3, 10328.), (3, 9884.));
+    ("SS", (4, 17072.), (3, 12656.));
+    ("SF", (4, 26800.), (3, 20000.));
+    ("BS", (5, 0x1.3f1eeeeeeeeeep+17), (5, 0x1.4c35555555556p+17));
+    ("BF", (6, 0x1.759d111111111p+17), (6, 200416.));
+    ("5", (4, 17072.), (3, 15160.));
+  ]
+
 let test_plan_completeness () =
+  Alcotest.(check (list string))
+    "every suite entry has a pinned placement" Apps.Suite.labels
+    (List.map (fun (l, _, _) -> l) expected_placements);
   List.iter
-    (fun label ->
+    (fun (label, one_to_one, greedy) ->
       let _, plan = compile_suite_entry label in
       Alcotest.(check (list string))
         (label ^ ": all passes timed, in order")
@@ -41,7 +64,7 @@ let test_plan_completeness () =
         (label ^ ": schedulability covers the graph")
         true
         (plan.Pipeline.schedulability.Schedulability.nodes <> []);
-      let check_mapped policy =
+      let check_mapped policy expected =
         let m = Plan.mapped plan ~policy in
         let pes = List.length m.Plan.groups in
         Alcotest.(check bool)
@@ -53,16 +76,32 @@ let test_plan_completeness () =
              (Plan.policy_name policy))
           pes
           (Mapping.processors m.Plan.mapping);
-        let side = m.Plan.placement.Placement.mesh_side in
-        Alcotest.(check bool)
-          (Printf.sprintf "%s: %s placement mesh holds the PEs" label
-             (Plan.policy_name policy))
-          true
-          (side > 0 && side * side >= pes)
+        let tag what =
+          Printf.sprintf "%s: %s placement %s" label
+            (Plan.policy_name policy) what
+        in
+        let p = Plan.placement plan ~policy in
+        let again = Plan.placement plan ~policy in
+        Alcotest.(check int) (tag "mesh side, two calls")
+          p.Placement.mesh_side again.Placement.mesh_side;
+        Alcotest.(check (float 0.)) (tag "cost, two calls") p.Placement.cost
+          again.Placement.cost;
+        for proc = 0 to pes - 1 do
+          Alcotest.(check (pair int int))
+            (tag (Printf.sprintf "tile of PE %d, two calls" proc))
+            (p.Placement.tile_of proc)
+            (again.Placement.tile_of proc)
+        done;
+        let side = p.Placement.mesh_side in
+        Alcotest.(check bool) (tag "mesh holds the PEs") true
+          (side * side >= pes);
+        let want_side, want_cost = expected in
+        Alcotest.(check int) (tag "mesh side") want_side side;
+        Alcotest.(check (float 0.)) (tag "cost") want_cost p.Placement.cost
       in
-      check_mapped Plan.One_to_one;
+      check_mapped Plan.One_to_one one_to_one;
       (* Every suite machine fits its greedy mapping. *)
-      check_mapped Plan.Greedy;
+      check_mapped Plan.Greedy greedy;
       Alcotest.(check bool)
         (label ^ ": greedy grouping recorded")
         true
@@ -71,7 +110,7 @@ let test_plan_completeness () =
         (label ^ ": no error diagnostics on a successful compile")
         []
         (List.map Diag.to_string (Plan.errors plan)))
-    Apps.Suite.labels
+    expected_placements
 
 let test_diagnostics_deterministic () =
   List.iter
@@ -265,19 +304,6 @@ let test_greedy_overflow_is_recorded_not_raised () =
   Alcotest.(check bool) "warning diagnostic from the map pass" true
     (warnings <> [])
 
-let test_run_plan_with_placement () =
-  let _, plan = compile_suite_entry "1" in
-  let base = Sim.run_plan ~policy:Plan.One_to_one plan () in
-  let _, plan2 = compile_suite_entry "1" in
-  let placed =
-    Sim.run_plan ~with_placement:true ~policy:Plan.One_to_one plan2 ()
-  in
-  (* The NoC model only ever adds write cycles. *)
-  Alcotest.(check bool) "placement never speeds the run" true
-    (placed.Sim.duration_s >= base.Sim.duration_s);
-  Alcotest.(check bool) "placed run completes" true
-    (not placed.Sim.timed_out)
-
 let test_clock_monotonic () =
   let prev = ref (Clock.now_s ()) in
   for _ = 1 to 10_000 do
@@ -316,8 +342,6 @@ let suite =
       test_after_pass_hook;
     Alcotest.test_case "greedy overflow recorded, not raised" `Quick
       test_greedy_overflow_is_recorded_not_raised;
-    Alcotest.test_case "run_plan can apply the placement" `Quick
-      test_run_plan_with_placement;
     Alcotest.test_case "pass clock is monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "--explain rendering covers the plan" `Quick
       test_explain_renders;

@@ -1,11 +1,10 @@
-(* The schedule pass (pass 10) and quasi-static execution.
+(* The schedule pass and quasi-static execution.
 
    Pins the tentpole's exactness claims:
    - [Plan.run_plan] under quasi-static execution is bit-exact against
-     the same plan forced event-driven, with the chunk pool on and off —
-     every result field compared, floats and event counts included;
-     only the [static_*] telemetry and the [pool] counters may differ;
-     every suite run drains;
+     the same plan forced event-driven — every result field compared,
+     floats, event counts and pool counters included; only the
+     [static_*] telemetry may differ; every suite run drains;
    - on the rate-static image-pipeline entries the tables script over
      half of all firings, and over 90% of those take the slot-indexed
      path;
@@ -53,9 +52,10 @@ let static_coverage (r : Sim.result) =
    carry most firings, and every stdlib kernel fires slot-indexed. *)
 let rate_static_labels = [ "SS"; "SF"; "BS"; "BF"; "5" ]
 
-(* Each entry runs four ways: quasi-static and event-driven, each with
-   and without the chunk pool. All four agree on every field but [pool]
-   and the static telemetry, and the pooled pair on [pool] too. *)
+(* Each entry runs two ways, quasi-static and event-driven; they agree
+   on every field but the static telemetry. The allocation-naive
+   engine is [Sim_reference], held to the pooled engine field by field
+   in test/test_differential.ml. *)
 let test_static_vs_dynamic_differential () =
   let any_static = ref false in
   List.iter
@@ -65,60 +65,40 @@ let test_static_vs_dynamic_differential () =
           let tag =
             Printf.sprintf "%s/%s" label (Plan.policy_name policy)
           in
-          let run ~static ~pool =
+          let run ~static =
             let _, plan = compile_suite_entry label in
-            Plan.run_plan ~static ~pool ~policy plan ()
+            Plan.run_plan ~static ~policy plan ()
           in
-          let dyn = run ~static:false ~pool:true in
-          let st = run ~static:true ~pool:true in
-          let dyn_unpooled = run ~static:false ~pool:false in
-          let st_unpooled = run ~static:true ~pool:false in
+          let dyn = run ~static:false in
+          let st = run ~static:true in
           Alcotest.(check bool)
             (tag ^ ": every non-telemetry result field bit-identical")
             true
             (strip_static dyn = strip_static st);
-          let outcome r = { (strip_static r) with Sim.pool = None } in
-          List.iter
-            (fun (what, r) ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s: %s run bit-identical to the pooled one"
-                   tag what)
-                true
-                (outcome r = outcome dyn))
-            [
-              ("unpooled event-driven", dyn_unpooled);
-              ("unpooled quasi-static", st_unpooled);
-            ];
           Alcotest.(check int) (tag ^ ": every run drains") 0
             dyn.Sim.leftover_items;
-          List.iter
-            (fun (r : Sim.result) ->
-              Alcotest.(check int)
-                (tag ^ ": event-driven run carries no static telemetry")
-                0
-                (r.Sim.static_regions + r.Sim.static_fired
-               + r.Sim.static_indexed_fired + r.Sim.static_fallback_events
-               + r.Sim.static_elided_events))
-            [ dyn; dyn_unpooled ];
-          List.iter
-            (fun (r : Sim.result) ->
-              Alcotest.(check int)
-                (tag ^ ": no table desyncs across the suite")
-                0 r.Sim.static_fallback_events;
-              if List.mem label rate_static_labels then begin
-                let coverage = static_coverage r in
-                let indexed =
-                  float_of_int r.Sim.static_indexed_fired
-                  /. float_of_int r.Sim.static_fired
-                in
-                if coverage <= 0.5 then
-                  Alcotest.failf "%s: static coverage %.3f not above 0.5" tag
-                    coverage;
-                if indexed <= 0.9 then
-                  Alcotest.failf "%s: indexed share %.3f not above 0.9" tag
-                    indexed
-              end)
-            [ st; st_unpooled ];
+          Alcotest.(check int)
+            (tag ^ ": event-driven run carries no static telemetry")
+            0
+            (dyn.Sim.static_regions + dyn.Sim.static_fired
+           + dyn.Sim.static_indexed_fired + dyn.Sim.static_fallback_events
+           + dyn.Sim.static_elided_events);
+          Alcotest.(check int)
+            (tag ^ ": no table desyncs across the suite")
+            0 st.Sim.static_fallback_events;
+          if List.mem label rate_static_labels then begin
+            let coverage = static_coverage st in
+            let indexed =
+              float_of_int st.Sim.static_indexed_fired
+              /. float_of_int st.Sim.static_fired
+            in
+            if coverage <= 0.5 then
+              Alcotest.failf "%s: static coverage %.3f not above 0.5" tag
+                coverage;
+            if indexed <= 0.9 then
+              Alcotest.failf "%s: indexed share %.3f not above 0.9" tag
+                indexed
+          end;
           if st.Sim.static_fired > 0 then any_static := true)
         [ Plan.One_to_one; Plan.Greedy ])
     Apps.Suite.labels;

@@ -228,27 +228,65 @@ let test_parallelize_memory_overflow_rejected () =
   expect_error (Err.Resource_exhausted "") (fun () ->
       ignore (Parallelize.run Machine.default g))
 
-(* At 5 kHz the 5x5 buffer would need 23 stripes of a frame that has 20
-   window columns. The error must come before the first rewrite, so the
-   graph keeps the shape [buffering] left it in. *)
+(* Each input fails in [parallelize], and the error must come before the
+   first rewrite, so the graph keeps the shape [buffering] left it in:
+   - at 5 kHz the image pipeline's 5x5 buffer would need 23 stripes of a
+     frame that has 20 window columns;
+   - at 500 Hz downsample's step-2 buffer would split into stripes with
+     gaps between them, which a column split cannot feed. *)
 let test_parallelize_checks_before_rewriting () =
-  let g = (pipeline_inst ~rate:(Rate.hz 5000.) ()).App.graph in
-  let buffered = ref 0 in
-  let after_pass ~pass graph =
-    if pass = "buffering" then buffered := Graph.size graph
+  List.iter
+    (fun (what, (inst : App.instance), kind, message, buffered_size) ->
+      let g = inst.App.graph in
+      let buffered = ref 0 in
+      let after_pass ~pass graph =
+        if pass = "buffering" then buffered := Graph.size graph
+      in
+      (match
+         Err.guard (fun () ->
+             Pipeline.compile ~after_pass ~machine:Machine.default g)
+       with
+      | Ok _ -> Alcotest.failf "%s: expected parallelize to fail" what
+      | Error e ->
+        Alcotest.check err_kind (what ^ ": error class") kind e;
+        Alcotest.(check bool)
+          (what ^ ": message") true
+          (contains (Err.to_string e) message));
+      Alcotest.(check int) (what ^ ": buffering ran") buffered_size !buffered;
+      Alcotest.(check int)
+        (what ^ ": graph left as buffering made it")
+        !buffered (Graph.size g))
+    [
+      ( "image pipeline at 5 kHz",
+        pipeline_inst ~rate:(Rate.hz 5000.) (),
+        Err.Invalid_parameterization "",
+        "only 20 window columns for 23 stripes",
+        12 );
+      ( "downsample at 500 Hz",
+        Apps.Downsample_app.v ~frame:(Size.v 24 18) ~rate:(Rate.hz 500.)
+          ~n_frames:1 (),
+        Err.Unsupported "",
+        "buffer Buffer [22x2] (1x1)->(1x1): stripes 0 and 1 leave a gap",
+        8 );
+    ]
+
+(* A buffer whose producer another rewrite replaces: multi-conv's second
+   3x3 buffer is fed by the replicated first convolution. Its split reads
+   the buffer's input stream from before the rewrites. *)
+let test_parallelize_splits_buffer_below_rewrite () =
+  let inst =
+    Apps.Multi_conv.v ~frame:(Size.v 24 18) ~rate:(Rate.hz 500.) ~n_frames:2
+      ()
   in
-  (match
-     Err.guard (fun () -> Pipeline.compile ~after_pass ~machine:Machine.default g)
-   with
-  | Ok _ -> Alcotest.fail "expected parallelize to fail"
-  | Error e ->
-    Alcotest.check err_kind "error class" (Err.Invalid_parameterization "") e;
-    Alcotest.(check bool)
-      "stripe-count message" true
-      (contains (Err.to_string e) "only 20 window columns for 23 stripes"));
-  Alcotest.(check int) "buffering ran" 12 !buffered;
-  Alcotest.(check int) "graph left as buffering made it" !buffered
-    (Graph.size g)
+  let plan = Pipeline.compile ~machine:Machine.default inst.App.graph in
+  Alcotest.(check bool) "the buffer below Conv A was split" true
+    (List.exists
+       (fun (d : Parallelize.decision) ->
+         d.Parallelize.original = "Buffer [22x6] (1x1)->(3x3)")
+       plan.Pipeline.decisions);
+  let result = Sim.run_plan ~policy:Plan.One_to_one plan () in
+  let _, ok = App.verify inst result in
+  Alcotest.(check bool) "functional result exact" true ok
 
 let test_required_cycles_positive () =
   let inst = pipeline_inst () in
@@ -348,6 +386,8 @@ let suite =
       test_parallelize_serial_overload_rejected;
     Alcotest.test_case "parallelize: checks before rewriting" `Quick
       test_parallelize_checks_before_rewriting;
+    Alcotest.test_case "parallelize: split a buffer below a rewrite" `Quick
+      test_parallelize_splits_buffer_below_rewrite;
     Alcotest.test_case "parallelize: memory overflow" `Quick
       test_parallelize_memory_overflow_rejected;
     Alcotest.test_case "parallelize: demand positive" `Quick
