@@ -42,14 +42,19 @@ let state_index = function
 
 (* One track per on-chip kernel: the open interval being accumulated, the
    closed intervals kept for export, time totals per state, and blocked
-   time attributed per culprit channel. *)
+   time attributed per culprit channel. Closed intervals tile the run
+   from 0, so each is kept as its state, its end and its culprit channel
+   (-1 for none) in growable arrays; it starts where the one before it
+   ends. *)
 type track = {
   t_node : Graph.node;
   mutable t_proc : int;  (* -1 until first examined *)
   mutable t_state : Sim.kernel_state;
   mutable t_chan : int option;
   mutable t_since : float;
-  mutable t_rev : interval list;  (* closed intervals, newest first *)
+  mutable t_states : Sim.kernel_state array;
+  mutable t_ends : float array;
+  mutable t_chans : int array;
   mutable t_kept : int;
   mutable t_dropped : int;
   t_acc : float array;  (* seconds per state, indexed by state_index *)
@@ -61,7 +66,8 @@ type sink_frames = { sf_node : Graph.node; sf_frames : frame list }
 type t = {
   graph : Graph.t;
   m : Metrics.t;
-  tracks : (Graph.node_id, track) Hashtbl.t;
+  tracks : track array;  (* on-chip kernels, in id order *)
+  track_slot : int array;  (* node id -> index into [tracks], or below *)
   interval_limit : int;
   mutable finalized : bool;
   mutable duration_s : float;
@@ -70,29 +76,41 @@ type t = {
   mutable misses : int;
 }
 
+(* [track_slot] entries of a graph node without a track, and of an id the
+   graph does not have. *)
+let off_chip = -1
+let not_in_graph = -2
+
 let create ?(interval_limit = 500_000) ~graph () =
-  let tracks = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Graph.node) ->
-      if Mapping.is_on_chip n then
-        Hashtbl.replace tracks n.Graph.id
-          {
-            t_node = n;
-            t_proc = -1;
-            t_state = Sim.Ks_idle;
-            t_chan = None;
-            t_since = 0.;
-            t_rev = [];
-            t_kept = 0;
-            t_dropped = 0;
-            t_acc = Array.make 4 0.;
-            t_chan_acc = Hashtbl.create 4;
-          })
-    (Graph.nodes graph);
+  let nodes = Graph.nodes graph in
+  let tracks =
+    List.filter Mapping.is_on_chip nodes
+    |> List.map (fun (n : Graph.node) ->
+           {
+             t_node = n;
+             t_proc = -1;
+             t_state = Sim.Ks_idle;
+             t_chan = None;
+             t_since = 0.;
+             t_states = [||];
+             t_ends = [||];
+             t_chans = [||];
+             t_kept = 0;
+             t_dropped = 0;
+             t_acc = Array.make 4 0.;
+             t_chan_acc = Hashtbl.create 4;
+           })
+    |> Array.of_list
+  in
+  let ids = List.map (fun (n : Graph.node) -> n.Graph.id) nodes in
+  let track_slot = Array.make (List.fold_left max (-1) ids + 1) not_in_graph in
+  List.iter (fun id -> track_slot.(id) <- off_chip) ids;
+  Array.iteri (fun i tr -> track_slot.(tr.t_node.Graph.id) <- i) tracks;
   {
     graph;
     m = Metrics.create ();
     tracks;
+    track_slot;
     interval_limit;
     finalized = false;
     duration_s = 0.;
@@ -100,6 +118,25 @@ let create ?(interval_limit = 500_000) ~graph () =
     frames = [];
     misses = 0;
   }
+
+let keep_interval t (tr : track) ~until =
+  let n = tr.t_kept in
+  if n = Array.length tr.t_ends then begin
+    let cap = min t.interval_limit (max 64 (2 * n)) in
+    let states = Array.make cap Sim.Ks_idle
+    and ends = Array.make cap 0.
+    and chans = Array.make cap (-1) in
+    Array.blit tr.t_states 0 states 0 n;
+    Array.blit tr.t_ends 0 ends 0 n;
+    Array.blit tr.t_chans 0 chans 0 n;
+    tr.t_states <- states;
+    tr.t_ends <- ends;
+    tr.t_chans <- chans
+  end;
+  tr.t_states.(n) <- tr.t_state;
+  tr.t_ends.(n) <- until;
+  tr.t_chans.(n) <- (match tr.t_chan with Some c -> c | None -> -1);
+  tr.t_kept <- n + 1
 
 let close_interval t (tr : track) ~until =
   let len = until -. tr.t_since in
@@ -116,28 +153,26 @@ let close_interval t (tr : track) ~until =
       in
       r := !r +. len
   | _ -> ());
-  if tr.t_kept < t.interval_limit then begin
-    tr.t_rev <-
-      {
-        iv_state = tr.t_state;
-        iv_start = tr.t_since;
-        iv_end = until;
-        iv_chan = tr.t_chan;
-      }
-      :: tr.t_rev;
-    tr.t_kept <- tr.t_kept + 1
-  end
+  if tr.t_kept < t.interval_limit then keep_interval t tr ~until
   else tr.t_dropped <- tr.t_dropped + 1
 
 let state_observer t ~time_s ~node ~proc ~state ~chan =
-  match Hashtbl.find_opt t.tracks node.Graph.id with
-  | None -> ()
-  | Some tr ->
-      tr.t_proc <- proc;
-      close_interval t tr ~until:time_s;
-      tr.t_state <- state;
-      tr.t_chan <- chan;
-      tr.t_since <- time_s
+  let id = node.Graph.id in
+  let i =
+    if id >= 0 && id < Array.length t.track_slot then t.track_slot.(id)
+    else not_in_graph
+  in
+  if i >= 0 then begin
+    let tr = t.tracks.(i) in
+    tr.t_proc <- proc;
+    close_interval t tr ~until:time_s;
+    tr.t_state <- state;
+    tr.t_chan <- chan;
+    tr.t_since <- time_s
+  end
+  else if i = not_in_graph then
+    invalid_arg
+      (Printf.sprintf "Health: node %d is not in the graph given to create" id)
 
 (* The declared frame period of the graph's first timed source, if any. *)
 let declared_period graph =
@@ -202,8 +237,8 @@ let finalize t ~(result : Sim.result) ?period_s ?(tolerance = 0.05) () =
   Metrics.set t.m "sim.duration_s" t.duration_s;
   (* Close every kernel's open interval at the end of the run and derive
      the per-kernel time-breakdown gauges. *)
-  Hashtbl.iter
-    (fun _ tr ->
+  Array.iter
+    (fun tr ->
       close_interval t tr ~until:t.duration_s;
       let name = tr.t_node.Graph.name in
       Metrics.set t.m (Printf.sprintf "kernel.%s.busy_s" name) tr.t_acc.(0);
@@ -271,24 +306,34 @@ let ensure_finalized t fn =
 let metrics t = t.m
 
 let breakdown t id =
-  match Hashtbl.find_opt t.tracks id with
-  | None -> None
-  | Some tr ->
-      Some
-        {
-          busy_s = tr.t_acc.(0);
-          blocked_input_s = tr.t_acc.(1);
-          blocked_output_s = tr.t_acc.(2);
-          idle_s = tr.t_acc.(3);
-        }
+  if id < 0 || id >= Array.length t.track_slot || t.track_slot.(id) < 0 then
+    None
+  else
+    let tr = t.tracks.(t.track_slot.(id)) in
+    Some
+      {
+        busy_s = tr.t_acc.(0);
+        blocked_input_s = tr.t_acc.(1);
+        blocked_output_s = tr.t_acc.(2);
+        idle_s = tr.t_acc.(3);
+      }
 
-let sorted_tracks t =
-  Hashtbl.fold (fun _ tr acc -> tr :: acc) t.tracks []
-  |> List.sort (fun a b -> compare a.t_node.Graph.id b.t_node.Graph.id)
+let sorted_tracks t = Array.to_list t.tracks
+
+let track_intervals tr =
+  List.init tr.t_kept (fun i ->
+      {
+        iv_state = tr.t_states.(i);
+        iv_start = (if i = 0 then 0. else tr.t_ends.(i - 1));
+        iv_end = tr.t_ends.(i);
+        iv_chan = (if tr.t_chans.(i) < 0 then None else Some tr.t_chans.(i));
+      })
 
 let intervals t =
   ensure_finalized t "intervals";
-  List.map (fun tr -> (tr.t_node, tr.t_proc, List.rev tr.t_rev)) (sorted_tracks t)
+  List.map
+    (fun tr -> (tr.t_node, tr.t_proc, track_intervals tr))
+    (sorted_tracks t)
 
 let frames t =
   ensure_finalized t "frames";

@@ -47,7 +47,9 @@ val state_observer :
   state:Bp_sim.Sim.kernel_state ->
   chan:int option ->
   unit
-(** Pass as [Sim.run ~state_observer]. *)
+(** Pass as [Sim.run ~state_observer], for a run of the graph given to
+    {!create}. Off-chip nodes are ignored; a node id that graph does not
+    have raises [Invalid_argument]. *)
 
 val finalize : t -> result:Bp_sim.Sim.result -> ?period_s:float ->
   ?tolerance:float -> unit -> unit

@@ -19,18 +19,27 @@
     run's [Sim.result] is bit-identical with and without it (asserted in
     [test/test_obs.ml]). The exported counter names are the normative
     contract of docs/OBSERVABILITY.md; every on-chip kernel and every
-    channel is pre-registered at creation so quiet components still appear
-    (as zeros) in the snapshot. *)
+    channel is registered so quiet components still appear (as zeros) in
+    the snapshot.
+
+    The observers count into arrays indexed by slots fixed at {!create},
+    one per node and channel of its graph, and {!finalize} writes them
+    into the registry: {!metrics} is complete only after {!finalize}. *)
 
 type t
 
 val create : ?sample_limit:int -> graph:Bp_graph.Graph.t -> unit -> t
-(** [sample_limit] (default 200_000) caps the per-channel occupancy
-    samples kept for counter tracks; past it, sampling stops for that
-    channel (aggregate counters keep counting) and
-    [chan.<id>.samples_dropped] records how many were discarded. *)
+(** Slots for every node and channel of [graph], which must be the graph
+    the observed run simulates: the observers raise [Invalid_argument] on
+    a node or channel id it does not have. [sample_limit] (default
+    200_000) caps the per-channel occupancy samples kept for counter
+    tracks; past it, sampling stops for that channel (aggregate counters
+    keep counting) and [chan.<id>.samples_dropped] records how many were
+    discarded. *)
 
 val metrics : t -> Metrics.t
+(** The registry. The observers' counters land in it at {!finalize};
+    before that it holds only what callers wrote into it themselves. *)
 
 val observer :
   t ->
@@ -78,8 +87,9 @@ val compose :
     Composing passive observers is passive. *)
 
 val finalize : t -> result:Bp_sim.Sim.result -> unit
-(** Derive the post-run metrics that need the whole result:
-    [sim.duration_s], [sim.input_stalls], [sim.late_emissions],
+(** Write the observers' counters, histograms and high-water marks into
+    {!metrics}, and derive the post-run metrics that need the whole
+    result: [sim.duration_s], [sim.input_stalls], [sim.late_emissions],
     [sim.leftover_items], [sim.timed_out], and per-PE [pe.<p>.idle_s] and
     [pe.<p>.util]. Call exactly once, after {!Bp_sim.Sim.run} returns. *)
 

@@ -86,6 +86,16 @@ let observe t name v =
   let i = bucket_index v in
   h.buckets.(i) <- h.buckets.(i) + 1
 
+let set_histogram t name ~count ~sum ~min ~max ~buckets =
+  if Array.length buckets <> Array.length bucket_bounds + 1 then
+    invalid_arg "Metrics.set_histogram: one bucket per bound plus overflow";
+  let h = hist_of t name in
+  h.count <- count;
+  h.sum <- sum;
+  h.mn <- min;
+  h.mx <- max;
+  Array.blit buckets 0 h.buckets 0 (Array.length buckets)
+
 let counter t name =
   match Hashtbl.find_opt t name with Some (Counter r) -> !r | _ -> 0
 

@@ -38,6 +38,22 @@ val add : t -> string -> float -> unit
 val observe : t -> string -> float -> unit
 (** Record one sample into a histogram. *)
 
+val set_histogram :
+  t ->
+  string ->
+  count:int ->
+  sum:float ->
+  min:float ->
+  max:float ->
+  buckets:int array ->
+  unit
+(** Overwrite a histogram's whole summary, for a recorder that kept its
+    own. Writing what {!observe} would have accumulated (the sum added
+    in sample order from [0.], [min] from [infinity], [max] from
+    [neg_infinity], [buckets] as {!bucket_bounds} files the samples)
+    leaves the registry exactly as the observations would. [buckets]
+    must have [Array.length bucket_bounds + 1] entries. *)
+
 (** {1 Reading} *)
 
 val counter : t -> string -> int

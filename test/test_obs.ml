@@ -927,6 +927,111 @@ let test_static_metrics_deterministic () =
     Alcotest.(check bool) "schedule pass wall gauge non-negative" true
       (w >= 0.)
 
+(* ---- slot-indexed observers vs the string-keyed reference ------------- *)
+
+module Instrument_ref = Obs_reference.Instrument_ref
+module Health_ref = Obs_reference.Health_ref
+
+(* One run feeds every callback to both the library's observers and the
+   reference's; both then finalize and must agree byte for byte. Returns
+   the run's [Ch_block] count, so the caller can check the comparison
+   reached block accounting. *)
+let check_against_reference ?sample_limit ?interval_limit tag g ~mapping
+    ~machine =
+  let ins = Instrument.create ?sample_limit ~graph:g () in
+  let ins_ref = Instrument_ref.create ?sample_limit ~graph:g () in
+  let hlt = Health.create ?interval_limit ~graph:g () in
+  let hlt_ref = Health_ref.create ?interval_limit ~graph:g () in
+  let result =
+    Sim.run
+      ~observer:
+        (Instrument.compose
+           [ Instrument.observer ins; Instrument_ref.observer ins_ref ])
+      ~channel_observer:(fun ~time_s ~chan_id ~node ~proc ~event ~depth ->
+        Instrument.channel_observer ins ~time_s ~chan_id ~node ~proc ~event
+          ~depth;
+        Instrument_ref.channel_observer ins_ref ~time_s ~chan_id ~node ~proc
+          ~event ~depth)
+      ~state_observer:(fun ~time_s ~node ~proc ~state ~chan ->
+        Health.state_observer hlt ~time_s ~node ~proc ~state ~chan;
+        Health_ref.state_observer hlt_ref ~time_s ~node ~proc ~state ~chan)
+      ~graph:g ~mapping ~machine ()
+  in
+  Instrument.finalize ins ~result;
+  Instrument_ref.finalize ins_ref ~result;
+  Health.finalize hlt ~result ();
+  Health_ref.finalize hlt_ref ~result;
+  let json j = Obs_json.to_string j in
+  let m = Instrument.metrics ins in
+  Alcotest.(check string)
+    (tag ^ ": Metrics.to_json")
+    (json (Metrics.to_json (Instrument_ref.metrics ins_ref)))
+    (json (Metrics.to_json m));
+  Alcotest.(check bool)
+    (tag ^ ": channel_series")
+    true
+    (Instrument_ref.channel_series ins_ref = Instrument.channel_series ins);
+  Alcotest.(check string)
+    (tag ^ ": Health.to_json")
+    (json (Health_ref.to_json hlt_ref))
+    (json (Health.to_json hlt));
+  Alcotest.(check string)
+    (tag ^ ": Health.metrics")
+    (json (Metrics.to_json (Health_ref.metrics hlt_ref)))
+    (json (Metrics.to_json (Health.metrics hlt)));
+  let by_id l =
+    List.map (fun ((n : Graph.node), proc, ivs) -> (n.Graph.id, proc, ivs)) l
+  in
+  Alcotest.(check bool)
+    (tag ^ ": Health.intervals")
+    true
+    (by_id (Health_ref.intervals hlt_ref) = by_id (Health.intervals hlt));
+  List.fold_left
+    (fun acc (c : Graph.channel) ->
+      acc + Metrics.counter m (Printf.sprintf "chan.%d.blocks" c.Graph.chan_id))
+    0 (Graph.channels g)
+
+let check_suite_entry ?sample_limit ?interval_limit tag label ~policy =
+  let e = Apps.Suite.by_label label in
+  let inst = e.Apps.Suite.build () in
+  let compiled =
+    Pipeline.compile ~machine:e.Apps.Suite.machine inst.App.graph
+  in
+  check_against_reference ?sample_limit ?interval_limit tag
+    compiled.Pipeline.graph
+    ~mapping:(Plan.mapping compiled ~policy)
+    ~machine:compiled.Pipeline.machine
+
+let test_observers_match_reference () =
+  let blocks =
+    List.fold_left
+      (fun acc label ->
+        List.fold_left
+          (fun acc (policy, name) ->
+            acc
+            + check_suite_entry
+                (Printf.sprintf "%s/%s" label name)
+                label ~policy)
+          acc
+          [ (Plan.One_to_one, "1:1"); (Plan.Greedy, "greedy") ])
+      0 Apps.Suite.labels
+  in
+  Alcotest.(check bool) "the suite exercises Ch_block accounting" true
+    (blocks > 0);
+  (* The drop paths: occupancy samples past [sample_limit], intervals
+     past [interval_limit]. *)
+  let label = List.hd Apps.Suite.labels in
+  ignore
+    (check_suite_entry ~sample_limit:7 ~interval_limit:5
+       (label ^ "/greedy, limits 7 and 5")
+       label ~policy:Plan.Greedy);
+  (* No suite program blocks a source; the overloaded fixture does, and
+     a source is an off-chip node. *)
+  let g, _, _, _ = bottleneck_fixture () in
+  ignore
+    (check_against_reference "overloaded fixture" g
+       ~mapping:(Mapping.one_to_one g) ~machine:Machine.default)
+
 let suite =
   [
     Alcotest.test_case "metrics: counters, gauges, histograms" `Quick
@@ -963,4 +1068,6 @@ let suite =
       test_health_frames_and_deadlines;
     Alcotest.test_case "health: JSON snapshot valid and sorted" `Quick
       test_health_json_valid;
+    Alcotest.test_case "observers match the string-keyed reference (suite)"
+      `Slow test_observers_match_reference;
   ]

@@ -194,6 +194,38 @@ let test_sim_allocation_budget () =
         rate st.Pool.hits st.Pool.misses;
     if st.Pool.releases = 0 then Alcotest.fail "no chunks were ever released"
 
+(* An observed run — both [Instrument] observers and [Health] attached,
+   as [bpc simulate --metrics --health] does — must stay within a per-event
+   allocation budget too. The observers count into preallocated slots, so
+   their share is the hooks' argument boxing and the growth of the sample
+   and interval arrays; formatting and hashing a metric name per event
+   costs several hundred words/event. Large growable arrays are allocated
+   straight on the major heap, so this counts minor + major - promoted
+   words (the registry's [gc.allocated_words]), not minor words alone. *)
+let test_observed_allocation_budget () =
+  let inst =
+    Apps.Histogram_app.v ~frame:(Size.v 96 72) ~rate:(Rate.hz 40.)
+      ~n_frames:3 ()
+  in
+  let plan = Pipeline.compile ~machine:Machine.default inst.App.graph in
+  let observed_run () =
+    let graph = plan.Pipeline.graph in
+    let ins = Instrument.create ~graph () in
+    let hlt = Health.create ~graph () in
+    Sim.run_plan ~observer:(Instrument.observer ins)
+      ~channel_observer:(Instrument.channel_observer ins)
+      ~state_observer:(Health.state_observer hlt) ~policy:Plan.Greedy plan ()
+  in
+  (* One warmup run to fault in code paths. *)
+  ignore (observed_run ());
+  let m = Metrics.create () in
+  let r = Metrics.record_gc_around m observed_run in
+  let words = Option.get (Metrics.gauge m "gc.allocated_words") in
+  let per_event = words /. float_of_int r.Sim.events_processed in
+  if per_event > 150. then
+    Alcotest.failf "observed run allocates %.1f words/event (budget 150)"
+      per_event
+
 let suite =
   [
     Alcotest.test_case "pool reuse round-trip" `Quick test_reuse_round_trip;
@@ -208,4 +240,6 @@ let suite =
       test_pool_beats_fresh_allocation;
     Alcotest.test_case "simulator allocation budget" `Quick
       test_sim_allocation_budget;
+    Alcotest.test_case "observed-run allocation budget" `Quick
+      test_observed_allocation_budget;
   ]
