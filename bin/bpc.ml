@@ -280,9 +280,9 @@ let no_static_arg =
     & info [ "no-static" ]
         ~doc:
           "Force fully event-driven dispatch instead of the plan's \
-           quasi-static schedule (the $(b,schedule) pass). Results are \
-           bit-identical — only wall time and the static telemetry \
-           change (see docs/PERFORMANCE.md).")
+           quasi-static schedule (the $(b,schedule) pass), which turns \
+           wake elision off. Results are bit-identical — only wall time \
+           and the static telemetry change (see docs/PERFORMANCE.md).")
 
 let simulate_cmd =
   let run app width height rate frames machine policy greedy trace metrics
@@ -370,10 +370,9 @@ let simulate_cmd =
       | None -> "");
     if result.Sim.static_regions > 0 then
       Format.printf
-        "static: %d regions, %d table-matched firings (%d slot-indexed), \
-         %d dispatched + %d elided events, %d fallbacks@."
+        "static: %d regions, %d table-matched firings, %d dispatched + %d \
+         elided events, %d fallbacks@."
         result.Sim.static_regions result.Sim.static_fired
-        result.Sim.static_indexed_fired
         (result.Sim.events_processed - result.Sim.static_elided_events)
         result.Sim.static_elided_events result.Sim.static_fallback_events;
     Option.iter

@@ -27,14 +27,16 @@ let threshold_kernel ~initial () =
   in
   let make_behaviour () =
     let level = ref initial in
-    let run m ~alloc inputs =
+    (* Data bodies read their trigger inputs from [inputs] and store their
+       results into [outputs], both in the method's declaration order. *)
+    let run m ~alloc ~inputs ~outputs =
       match m with
       | "applyThreshold" ->
-        let px = List.assoc "in" inputs in
+        let px = inputs.(0) in
         let out = alloc (Image.size px) in
         Image.map_into (fun v -> if v > !level then 1. else 0.) ~src:px
           ~dst:out;
-        [ ("out", out) ]
+        outputs.(0) <- out
       | _ -> assert false
     in
     let token_run m ~alloc:_ _tok =

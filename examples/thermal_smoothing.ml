@@ -12,22 +12,6 @@ open Block_parallel
 
 let smoothing = 0.25
 
-(* A 1x1 window with step 2x2: keep one pixel in four. *)
-let decimator () =
-  let methods =
-    [
-      Method_spec.on_data ~cycles:2 ~name:"pick" ~inputs:[ "in" ]
-        ~outputs:[ "out" ] ();
-    ]
-  in
-  let run _m ~alloc:_ inputs = [ ("out", List.assoc "in" inputs) ] in
-  Kernel.v ~class_name:"Decimate"
-    ~inputs:[ Port.input "in" (Window.v ~step:(Step.v 2 2) Size.one) ]
-    ~outputs:[ Port.output "out" Window.pixel ]
-    ~methods
-    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
-    ()
-
 let () =
   let frame = Size.v 20 16 in
   let rate = Rate.hz 12. in
@@ -43,7 +27,8 @@ let () =
   let blur = Graph.add g ~name:"Blur" (Conv.spec ~w:3 ~h:3 ()) in
   let blur_img = Image.Gen.constant (Size.v 3 3) (1. /. 9.) in
   let coeff = Graph.add g (Source.const ~class_name:"Coeff" ~chunk:blur_img ()) in
-  let dec = Graph.add g (decimator ()) in
+  (* A 1x1 window with step 2x2: keep one pixel in four. *)
+  let dec = Graph.add g (Decimate.spec ~fx:2 ~fy:2 ()) in
   (* Temporal IIR on the decimated stream. *)
   let blurred = Size.v (frame.Size.w - 2) (frame.Size.h - 2) in
   let decimated =

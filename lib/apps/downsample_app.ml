@@ -4,26 +4,6 @@ module Image = Bp_image.Image
 module Ops = Bp_image.Ops
 module K = Bp_kernels
 
-(* The decimator is a gain kernel whose input window is 1x1 with step 2x2;
-   the compiler's buffering pass turns the step into a downsampling
-   buffer. *)
-let decimator () =
-  let open Bp_kernel in
-  let methods =
-    [
-      Method_spec.on_data ~cycles:2 ~name:"pick" ~inputs:[ "in" ]
-        ~outputs:[ "out" ] ();
-    ]
-  in
-  let run _m ~alloc:_ inputs = [ ("out", List.assoc "in" inputs) ] in
-  Spec.v ~class_name:"Decimate 2x2"
-    ~inputs:
-      [ Port.input "in" (Bp_geometry.Window.v ~step:(Step.v 2 2) Size.one) ]
-    ~outputs:[ Port.output "out" Bp_geometry.Window.pixel ]
-    ~methods
-    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
-    ()
-
 let v ?(seed = 53) ~frame ~rate ~n_frames () =
   let frames = Image.Gen.frame_sequence ~seed frame n_frames in
   let g = Graph.create () in
@@ -34,7 +14,9 @@ let v ?(seed = 53) ~frame ~rate ~n_frames () =
     Graph.add g ~name:"Blur Coeff"
       (K.Source.const ~class_name:"Blur Coeff" ~chunk:blur_coeff ())
   in
-  let dec = Graph.add g (decimator ()) in
+  (* A 1x1 window with step 2x2: the compiler's buffering pass turns the
+     step into a downsampling buffer. *)
+  let dec = Graph.add g (K.Decimate.spec ~fx:2 ~fy:2 ()) in
   let gain = Graph.add g (K.Arith.gain 2.) in
   let collector = K.Sink.collector () in
   let sink = App.add_sink g ~name:"result" ~window:Window.pixel collector in

@@ -27,8 +27,8 @@
       sequence, segments it at end-of-frame boundaries into a prelude
       and a steady-state period, and partitions the graph into static
       regions ({!Bp_sim.Static_schedule}); invariant: the regions
-      partition the node set exactly. The artifact drives the
-      simulator's quasi-static executor and [--dump-after schedule].
+      partition the node set exactly. The artifact feeds the
+      simulator's table-match telemetry and [--dump-after schedule].
 
     Passes 1–8 are the sizing prefix: they alone decide the PE counts
     and the schedulability verdict, and {!size} runs just them.

@@ -120,7 +120,7 @@ val run_plan :
     a run under the NoC delay model of a placement calls
     {!Bp_sim.Sim.run} with [?placement] directly. [static] (default
     [true]) supplies the plan's [schedule] artifact to the simulator,
-    enabling quasi-static execution when no observer is installed;
+    enabling wake elision when no observer is installed;
     [~static:false] (`bpc simulate --no-static`) forces fully
     event-driven dispatch. Results are bit-identical either way —
     [events_processed] included, elided wakes are counted — except for

@@ -12,39 +12,18 @@ type io = {
 
 type fired = { method_name : string; cycles : int }
 
-(* The slot-indexed fast path: ring handles preresolved to port ordinals
-   (declaration order in the spec) so a tabled firing touches no string
-   and allocates no closure. Built once per node by the engine. *)
-type ports = {
-  ix_peek : int -> Item.t;
-  ix_pop : int -> Item.t;
-  ix_push : int -> Item.t -> unit;
-  ix_space : int -> int;
-  ix_has : int -> bool;
-  ix_acquire : Bp_geometry.Size.t -> Bp_image.Image.t;
-  ix_release : Bp_image.Image.t -> unit;
-}
-
-type indexed = {
-  op_of : method_name:string -> pops:int array -> pushes:int array -> int;
-  space_need : int -> int;
-  space_outs : int -> int array;
-  fire_indexed : ports -> int -> fired option;
-}
-
 type t = {
   try_step : io -> fired option;
   starved : (io -> bool) option;
-  indexed : indexed option;
 }
 
-let v ?starved ?indexed try_step = { try_step; starved; indexed }
+let v ?starved try_step = { try_step; starved }
 
 let forward_method_name = "<forward-token>"
 
 type alloc = Bp_geometry.Size.t -> Bp_image.Image.t
 
-type indexed_run =
+type data_run =
   alloc:alloc ->
   inputs:Bp_image.Image.t array ->
   outputs:Bp_image.Image.t array ->
@@ -54,11 +33,6 @@ type indexed_run =
    an output slot physically equal to [no_image] produced nothing there.
    Never pushed, never released. *)
 let no_image = Bp_image.Image.create Bp_geometry.Size.one
-
-type data_run =
-  alloc:alloc ->
-  (string * Bp_image.Image.t) list ->
-  (string * Bp_image.Image.t) list
 
 type token_run =
   alloc:alloc -> Bp_token.Token.t -> (string * Bp_image.Image.t) list
@@ -132,22 +106,6 @@ let rec space_ok io need = function
   | [] -> true
   | out :: rest -> io.space out >= need && space_ok io need rest
 
-let rec pop_chunks io = function
-  | [] -> []
-  | (input, _) :: rest ->
-    let chunk = Item.chunk_exn (io.pop input) in
-    (input, chunk) :: pop_chunks io rest
-
-let rec phys_mem_result img = function
-  | [] -> false
-  | (_, r) :: rest -> r == img || phys_mem_result img rest
-
-let rec release_consumed io results = function
-  | [] -> ()
-  | (_, img) :: rest ->
-    if not (phys_mem_result img results) then io.release img;
-    release_consumed io results rest
-
 let rec pop_all io = function
   | [] -> ()
   | (input, _) :: rest ->
@@ -160,49 +118,28 @@ let rec push_token io tok = function
     io.push out (Item.ctl tok);
     push_token io tok rest
 
-(* A data method with its trigger-input list, success value, and (indexed
-   kernels) body and scratch arrays resolved once at kernel construction
-   (all would otherwise be rebuilt — and the [Some fired] allocated — on
-   every firing). *)
+
+(* A data method with its trigger-input list, success value, body and
+   scratch arrays resolved once at kernel construction (all would
+   otherwise be rebuilt — and the [Some fired] allocated — on every
+   firing). *)
 type prepared = {
   pm : Method_spec.t;
   pm_inputs : string list;
   pm_fired : fired option;
-  pm_body : indexed_run option;  (* resolved [run_indexed] body *)
+  pm_body : data_run;
   pm_in_scratch : Bp_image.Image.t array;  (* one slot per trigger input *)
   pm_out_scratch : Bp_image.Image.t array;  (* one slot per declared output *)
 }
 
-(* Whether [img] occurs physically in [arr] — the pass-through test of
-   {!release_consumed}, on scratch arrays. Top-level recursion: no
+(* Whether [img] occurs physically in [arr] — the pass-through test that
+   keeps a forwarded input from being released. Top-level recursion: no
    per-firing closure. *)
 let rec phys_mem_scratch img (arr : Bp_image.Image.t array) j =
   j < Array.length arr && (arr.(j) == img || phys_mem_scratch img arr (j + 1))
 
-let ordinal_of what names name =
-  let rec go i = function
-    | [] -> Err.graphf "indexed kernel: unknown %s port %S" what name
-    | x :: rest -> if String.equal x name then i else go (i + 1) rest
-  in
-  go 0 names
-
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
-
-let int_array_equal (a : int array) b = a = b
-
-let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
-    ?run_indexed ?(token_run = fun _ ~alloc:_ _ -> []) () =
-  (match (run, run_indexed) with
-  | None, None ->
-    Err.invalidf "iteration_kernel: neither run nor run_indexed given"
-  | _ -> ());
-  (match (run_indexed, port_order) with
-  | Some _, None ->
-    Err.invalidf "iteration_kernel: run_indexed requires port_order"
-  | _ -> ());
+let iteration_kernel ?(token_forward_cycles = 2) ~methods ~run
+    ?(token_run = fun _ ~alloc:_ _ -> []) () =
   let interned =
     List.map
       (fun (m : Method_spec.t) ->
@@ -222,10 +159,8 @@ let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
               pm = m;
               pm_inputs = inputs;
               pm_fired = fired_of m;
-              pm_body =
-                Option.map (fun ri -> ri m.Method_spec.name) run_indexed;
-              pm_in_scratch =
-                Array.make (List.length inputs) no_image;
+              pm_body = run m.Method_spec.name;
+              pm_in_scratch = Array.make (List.length inputs) no_image;
               pm_out_scratch =
                 Array.make (List.length m.Method_spec.outputs) no_image;
             }
@@ -247,49 +182,35 @@ let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
   let try_data_method io (p : prepared) items =
     if not (space_ok io 1 p.pm.Method_spec.outputs) then None
     else begin
-      match p.pm_body with
-      | None ->
-        let run =
-          match run with
-          | Some r -> r
-          | None ->
-            Err.graphf "method %s has no body" p.pm.Method_spec.name
-        in
-        let chunks = pop_chunks io items in
-        let results = run p.pm.Method_spec.name ~alloc:io.acquire chunks in
-        push_results io p.pm results;
-        (* Popped chunks the body did not forward onward are dead: return
-           them to the pool. The physical-equality check keeps pass-through
-           bodies (decimate, token-tagged forwards) from releasing a chunk
-           whose ownership they just transferred by pushing it. *)
-        release_consumed io results chunks;
-        p.pm_fired
-      | Some body ->
-        let ins = p.pm_in_scratch and outs = p.pm_out_scratch in
-        let rec fill i = function
-          | [] -> ()
-          | (input, _) :: rest ->
-            ins.(i) <- Item.chunk_exn (io.pop input);
-            fill (i + 1) rest
-        in
-        fill 0 items;
-        body ~alloc:io.acquire ~inputs:ins ~outputs:outs;
-        let rec push j = function
-          | [] -> ()
-          | out :: rest ->
-            if outs.(j) != no_image then io.push out (Item.data outs.(j));
-            push (j + 1) rest
-        in
-        push 0 p.pm.Method_spec.outputs;
-        for i = 0 to Array.length ins - 1 do
-          let img = ins.(i) in
-          if not (phys_mem_scratch img outs 0) then io.release img;
-          ins.(i) <- no_image
-        done;
-        for j = 0 to Array.length outs - 1 do
-          outs.(j) <- no_image
-        done;
-        p.pm_fired
+      let ins = p.pm_in_scratch and outs = p.pm_out_scratch in
+      let rec fill i = function
+        | [] -> ()
+        | (input, _) :: rest ->
+          ins.(i) <- Item.chunk_exn (io.pop input);
+          fill (i + 1) rest
+      in
+      fill 0 items;
+      p.pm_body ~alloc:io.acquire ~inputs:ins ~outputs:outs;
+      let rec push j = function
+        | [] -> ()
+        | out :: rest ->
+          if outs.(j) != no_image then io.push out (Item.data outs.(j));
+          push (j + 1) rest
+      in
+      push 0 p.pm.Method_spec.outputs;
+      (* Popped chunks the body did not forward onward are dead: return
+         them to the pool. The physical-equality check keeps pass-through
+         bodies (decimate) from releasing a chunk whose ownership they just
+         transferred by storing it into an output slot. *)
+      for i = 0 to Array.length ins - 1 do
+        let img = ins.(i) in
+        if not (phys_mem_scratch img outs 0) then io.release img;
+        ins.(i) <- no_image
+      done;
+      for j = 0 to Array.length outs - 1 do
+        outs.(j) <- no_image
+      done;
+      p.pm_fired
     end
   in
   let try_token io (p : prepared) items (tok : Bp_token.Token.t) =
@@ -337,9 +258,8 @@ let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
      data, token dispatch, or token forward — starts from a method whose
      trigger inputs are all non-empty. So when each data method is missing
      at least one trigger front, [try_step] provably declines without being
-     called. This is the exact decline oracle the static executor uses to
-     skip attempts and elide processor wake events (docs/PERFORMANCE.md
-     §Quasi-static execution). *)
+     called. This is the exact decline oracle wake elision uses
+     (docs/PERFORMANCE.md §Quasi-static execution). *)
   let rec any_method_armed io = function
     | [] -> false
     | p :: rest ->
@@ -350,78 +270,4 @@ let iteration_kernel ?(token_forward_cycles = 2) ~methods ?run ?port_order
       all_present p.pm_inputs || any_method_armed io rest
   in
   let starved io = not (any_method_armed io data_methods) in
-  (* Slot-indexed ops, available when the kernel has exactly one data
-     method (a node with two or more is a reactive merge and is never
-     statically scheduled — see Static_schedule.multi_data_methods — and
-     the single-method shape is what makes the engine's front/space guard
-     equivalent to the generic attempt): op 0 fires the data method, op 1
-     forwards an unhandled control token. *)
-  let indexed =
-    match port_order with
-    | None -> None
-    | Some (in_names, out_names) -> (
-      match data_methods with
-      | [ ({ pm_body = Some body; _ } as p) ] ->
-        let trig =
-          Array.of_list (List.map (ordinal_of "input" in_names) p.pm_inputs)
-        in
-        let trig_sorted = sorted_copy trig in
-        let out_ords =
-          Array.of_list
-            (List.map (ordinal_of "output" out_names)
-               p.pm.Method_spec.outputs)
-        in
-        let op_of ~method_name ~pops ~pushes:_ =
-          if String.equal method_name p.pm.Method_spec.name then
-            if int_array_equal pops trig then 0 else -1
-          else if String.equal method_name forward_method_name then
-            if int_array_equal (sorted_copy pops) trig_sorted then 1 else -1
-          else -1
-        in
-        let space_need _ = 1 in
-        let space_outs _ = out_ords in
-        let fire_indexed ports op =
-          if op = 0 then begin
-            let ins = p.pm_in_scratch and outs = p.pm_out_scratch in
-            for i = 0 to Array.length trig - 1 do
-              ins.(i) <- Item.chunk_exn (ports.ix_pop trig.(i))
-            done;
-            body ~alloc:ports.ix_acquire ~inputs:ins ~outputs:outs;
-            for j = 0 to Array.length out_ords - 1 do
-              if outs.(j) != no_image then
-                ports.ix_push out_ords.(j) (Item.data outs.(j))
-            done;
-            for i = 0 to Array.length ins - 1 do
-              let img = ins.(i) in
-              if not (phys_mem_scratch img outs 0) then ports.ix_release img;
-              ins.(i) <- no_image
-            done;
-            for j = 0 to Array.length outs - 1 do
-              outs.(j) <- no_image
-            done;
-            p.pm_fired
-          end
-          else begin
-            (* Forward: pop the matching control token from every trigger
-               input, re-emit it on the declared outputs — the indexed
-               twin of the generic no-handler token path. *)
-            let tok =
-              match ports.ix_pop trig.(0) with
-              | Item.Ctl tok -> tok
-              | Item.Data _ ->
-                Err.graphf "indexed forward on %s: data at front"
-                  p.pm.Method_spec.name
-            in
-            for i = 1 to Array.length trig - 1 do
-              ignore (ports.ix_pop trig.(i))
-            done;
-            for j = 0 to Array.length out_ords - 1 do
-              ports.ix_push out_ords.(j) (Item.ctl tok)
-            done;
-            forward_fired
-          end
-        in
-        Some { op_of; space_need; space_outs; fire_indexed }
-      | _ -> None)
-  in
-  { try_step; starved = Some starved; indexed }
+  { try_step; starved = Some starved }

@@ -42,60 +42,14 @@ type io = {
           allocation-naive reference engine wires this to [ignore]. *)
   has_input : string -> bool;
       (** Whether an input queue has a front item — [peek <> None] without
-          the option allocation. The static executor's decline oracles call
-          this on every skipped examination, so it must stay free of
-          per-call allocation. *)
+          the option allocation. Decline oracles ({!field-starved}) call
+          this after firings and on every channel change next to an
+          elided wake, so it must stay free of per-call allocation. *)
 }
 
 type fired = { method_name : string; cycles : int }
 (** Accounting result of a successful step. Words moved are counted by the
     simulator inside [pop]/[push]. *)
-
-type ports = {
-  ix_peek : int -> Item.t;  (** Front of input ordinal [i]. Raises if empty. *)
-  ix_pop : int -> Item.t;  (** Consume the front of input ordinal [i]. *)
-  ix_push : int -> Item.t -> unit;
-      (** Append to output ordinal [j] (all fan-out channels). *)
-  ix_space : int -> int;  (** Free slots on output ordinal [j] (min fan-out). *)
-  ix_has : int -> bool;  (** Input ordinal [i] has a front item. *)
-  ix_acquire : Bp_geometry.Size.t -> Bp_image.Image.t;
-  ix_release : Bp_image.Image.t -> unit;
-}
-(** The slot-indexed twin of {!io}: ring handles preresolved to the
-    kernel's port ordinals (position in the spec's declaration order, as
-    reported by {!Spec.input_ordinal}/{!Spec.output_ordinal}). The engine
-    builds one [ports] per node at setup; a tabled firing dispatched
-    through it performs zero name hashing and allocates no closure. Same
-    ownership and accounting contract as {!io}. *)
-
-type indexed = {
-  op_of : method_name:string -> pops:int array -> pushes:int array -> int;
-      (** Resolve a firing-table entry (method name, pop input ordinals in
-          pop order, push output ordinals in push order) to a behaviour op
-          code, or [-1] when the entry cannot take the indexed path (the
-          engine then falls back to the generic [try_step]). *)
-  space_need : int -> int;
-      (** Free slots the generic path demands on each checked output
-          before firing op — the engine reproduces the check exactly. *)
-  space_outs : int -> int array;
-      (** Output ordinals the generic path space-checks before firing op.
-          May be [[||]] for ops that re-check space themselves inside
-          {!field-fire_indexed}; such ops are never batch-armed. *)
-  fire_indexed : ports -> int -> fired option;
-      (** Execute one firing of op. MUST be mutation-free when returning
-          [None] (the engine falls back to the generic path for that
-          firing). The contract mirroring [try_step]: given that the
-          engine has verified the entry's pop fronts (presence and item
-          kind) and the [space_outs]/[space_need] space condition,
-          [fire_indexed] must fire exactly the firing the generic
-          [try_step] would, or decline with [None]; any private-state
-          precondition the generic path consults must be re-checked
-          here. *)
-}
-(** The closure-free fast path a behaviour may expose for quasi-static
-    execution (docs/PERFORMANCE.md §"Quasi-static execution"). Op codes
-    are private to the behaviour; the engine obtains them through
-    [op_of] when it resolves a node's firing table. *)
 
 type t = {
   try_step : io -> fired option;
@@ -105,23 +59,18 @@ type t = {
           anything — from the behaviour's *current* private state and the
           current channel fronts. It may conservatively return [false].
           The oracle itself must not mutate state and should not allocate.
-          The simulator's quasi-static executor uses it to (a) skip
-          provably-declining attempts and (b) elide the processor-free
+          The simulator's wake elision uses it to skip the processor-free
           wake event after a firing whose processor is provably starved —
-          both exact, never approximations (docs/PERFORMANCE.md). [None]
+          exact, never an approximation (docs/PERFORMANCE.md). [None]
           means "no oracle": the kernel is always re-attempted. *)
-  indexed : indexed option;
-      (** Slot-indexed fast path; [None] keeps every firing on the
-          generic string-keyed path (always correct, merely slower). *)
 }
 
-val v :
-  ?starved:(io -> bool) -> ?indexed:indexed -> (io -> fired option) -> t
-(** Build a behaviour from a [try_step] and optional decline oracle and
-    indexed fast path. Hand-rolled kernels with private firing state (the
-    buffer's pending window, the padder's margin cursor) implement
-    [starved] natively; {!iteration_kernel} derives one automatically
-    from its method triggers. *)
+val v : ?starved:(io -> bool) -> (io -> fired option) -> t
+(** Build a behaviour from a [try_step] and an optional decline oracle.
+    Hand-rolled kernels with private firing state (the buffer's pending
+    window, the padder's margin cursor) implement [starved] natively;
+    {!iteration_kernel} derives one automatically from its method
+    triggers. *)
 
 val forward_method_name : string
 (** The pseudo-method name reported when a step merely forwarded an
@@ -135,64 +84,43 @@ type alloc = Bp_geometry.Size.t -> Bp_image.Image.t
 
 type data_run =
   alloc:alloc ->
-  (string * Bp_image.Image.t) list ->
-  (string * Bp_image.Image.t) list
-(** A data method body: consumed chunks keyed by input name, in trigger
-    order, to produced chunks keyed by output name (at most one per output;
-    outputs may be omitted). Ownership contract: every returned chunk is
-    transferred to the runtime; every input chunk not returned (by physical
-    identity) is released back to the pool after the body runs — so a body
-    must not stash an input image in its state (copy or blit it instead),
-    and must obtain fresh outputs from [alloc], never from a captured
-    cache. *)
-
-type token_run =
-  alloc:alloc -> Bp_token.Token.t -> (string * Bp_image.Image.t) list
-(** A token method body (e.g. emit the finished histogram on EOF). Same
-    ownership contract for returned chunks as {!data_run}. *)
-
-type indexed_run =
-  alloc:alloc ->
   inputs:Bp_image.Image.t array ->
   outputs:Bp_image.Image.t array ->
   unit
-(** A slot-indexed data method body: [inputs] holds the consumed chunks in
-    trigger-declaration order; the body stores at most one produced chunk
-    per declared output into [outputs] (same declaration order), leaving
-    {!no_image} in slots it does not produce. Both arrays are preallocated
-    scratch owned by the wrapper — a body must not retain them. Ownership
-    of chunks is as in {!data_run}: inputs not stored into [outputs] (by
-    physical identity) are released after the body runs. *)
+(** A data method body: [inputs] holds the consumed chunks in the
+    method's trigger-declaration order; the body stores at most one
+    produced chunk per declared output into [outputs] (the method's output
+    declaration order) and leaves untouched the slots of outputs it does
+    not produce. Both arrays are preallocated scratch owned by the
+    wrapper — a body must not retain them. Ownership contract: every
+    chunk stored into [outputs] is transferred to the runtime; every
+    input chunk not stored there (by physical identity) is released back
+    to the pool after the body runs — so a body must not stash an input
+    image in its state (copy or blit it instead), and must obtain fresh
+    outputs from [alloc], never from a captured cache. *)
 
-val no_image : Bp_image.Image.t
-(** Sentinel filling {!indexed_run} scratch slots: physical equality with
-    it means "no chunk here". Never pushed, never released. *)
+type token_run =
+  alloc:alloc -> Bp_token.Token.t -> (string * Bp_image.Image.t) list
+(** A token method body (e.g. emit the finished histogram on EOF):
+    produced chunks keyed by output name, at most one per output. Naming
+    an output the method does not declare fails the firing. Same
+    ownership contract for returned chunks as {!data_run}. *)
 
 val iteration_kernel :
   ?token_forward_cycles:int ->
   methods:Method_spec.t list ->
-  ?run:(string -> data_run) ->
-  ?port_order:string list * string list ->
-  ?run_indexed:(string -> indexed_run) ->
+  run:(string -> data_run) ->
   ?token_run:(string -> token_run) ->
   unit ->
   t
 (** [iteration_kernel ~methods ~run ()] builds the standard wrapper.
-    [run m] is invoked for [On_data] method [m]; [token_run m] for
-    [On_token] method [m] (defaults to producing nothing).
-    [token_forward_cycles] (default 2) is the cost of auto-forwarding an
-    unhandled token. State is whatever the [run] closures capture — callers
-    allocate fresh state per behaviour instance.
-
-    [run_indexed m] supplies the array-based body for [On_data] method [m]
-    instead of (or in addition to) [run]; it requires [port_order], the
-    kernel's input and output port names in spec declaration order, and is
-    resolved once per method at construction. With it the wrapper both
-    (a) runs the generic path through preallocated scratch arrays — no
-    per-firing assoc lists — and (b) exposes the {!indexed} fast path when
-    the kernel has exactly one data method. At least one of [run] /
-    [run_indexed] must be given; methods lacking a body fail on first
-    firing. *)
+    [run m] is the body of [On_data] method [m], resolved once per method
+    when the behaviour is built; [token_run m] runs for [On_token] method
+    [m] (defaults to producing nothing). [token_forward_cycles] (default
+    2) is the cost of auto-forwarding an unhandled token. State is
+    whatever the [run] closures capture — callers allocate fresh state per
+    behaviour instance. Firings run through preallocated scratch arrays,
+    so the wrapper builds no per-firing list. *)
 
 val pop_data : io -> string -> Bp_image.Image.t
 (** Helper for custom behaviours: pop and assert a data chunk. *)

@@ -130,28 +130,6 @@ let user_token_budget t kind =
 let find_input t name = Port.find t.inputs name
 let find_output t name = Port.find t.outputs name
 
-(* Stable port ordinals: a port's position in the spec's declaration
-   order. The slot-indexed kernel ABI (Behaviour.indexed) and the
-   schedule resolver key rings by these instead of by name. *)
-let port_ordinal what ports name =
-  let rec go i = function
-    | [] -> Err.graphf "no %s port %S" what name
-    | p :: rest ->
-      if String.equal p.Port.name name then i else go (i + 1) rest
-  in
-  go 0 ports
-
-let input_ordinal t name = port_ordinal "input" t.inputs name
-let output_ordinal t name = port_ordinal "output" t.outputs name
-let input_order t = port_names t.inputs
-let output_order t = port_names t.outputs
-
-let method_trigger_ordinals t m =
-  List.map (input_ordinal t) (Method_spec.trigger_inputs m)
-
-let method_output_ordinals t m =
-  List.map (output_ordinal t) m.Method_spec.outputs
-
 let find_method t name =
   match
     List.find_opt (fun m -> String.equal m.Method_spec.name name) t.methods

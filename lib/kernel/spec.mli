@@ -87,27 +87,6 @@ val find_input : t -> string -> Port.t
 val find_output : t -> string -> Port.t
 val find_method : t -> string -> Method_spec.t
 
-val input_ordinal : t -> string -> int
-(** A port's stable ordinal: its position in the declared input list.
-    The slot-indexed ABI ({!Behaviour.indexed}) and the schedule
-    resolver address rings by these. Raises on unknown names. *)
-
-val output_ordinal : t -> string -> int
-(** Position in the declared output list. Raises on unknown names. *)
-
-val input_order : t -> string list
-(** Input port names in declaration (ordinal) order. *)
-
-val output_order : t -> string list
-(** Output port names in declaration (ordinal) order. *)
-
-val method_trigger_ordinals : t -> Method_spec.t -> int list
-(** Input ordinals of a method's trigger inputs, in trigger order. *)
-
-val method_output_ordinals : t -> Method_spec.t -> int list
-(** Output ordinals of a method's declared outputs, in declaration
-    order. *)
-
 val user_token_budget : t -> Bp_token.Token.kind -> int option
 (** The declared per-frame bound for a user token kind, if any. *)
 

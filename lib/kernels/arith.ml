@@ -10,7 +10,7 @@ let binary ~class_name ~cycles f () =
         ~outputs:[ "out" ] ();
     ]
   in
-  let run_indexed _m ~alloc ~inputs ~outputs =
+  let run _m ~alloc ~inputs ~outputs =
     let a = inputs.(0) and b = inputs.(1) in
     let out = alloc (Bp_image.Image.size a) in
     Bp_image.Image.map2_into f a b ~dst:out;
@@ -20,10 +20,7 @@ let binary ~class_name ~cycles f () =
     ~inputs:[ Port.input "in0" pixel_port; Port.input "in1" pixel_port ]
     ~outputs:[ Port.output "out" pixel_port ]
     ~methods
-    ~make_behaviour:(fun () ->
-      Behaviour.iteration_kernel ~methods
-        ~port_order:([ "in0"; "in1" ], [ "out" ])
-        ~run_indexed ())
+    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
     ()
 
 let subtract () = binary ~class_name:"Subtract" ~cycles:Costs.subtract ( -. ) ()
@@ -42,7 +39,7 @@ let unary ~class_name ~cycles f () =
         ~outputs:[ "out" ] ();
     ]
   in
-  let run_indexed _m ~alloc ~inputs ~outputs =
+  let run _m ~alloc ~inputs ~outputs =
     let src = inputs.(0) in
     let out = alloc (Bp_image.Image.size src) in
     Bp_image.Image.map_into f ~src ~dst:out;
@@ -52,9 +49,7 @@ let unary ~class_name ~cycles f () =
     ~inputs:[ Port.input "in" pixel_port ]
     ~outputs:[ Port.output "out" pixel_port ]
     ~methods
-    ~make_behaviour:(fun () ->
-      Behaviour.iteration_kernel ~methods ~port_order:([ "in" ], [ "out" ])
-        ~run_indexed ())
+    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
     ()
 
 let gain k =

@@ -28,7 +28,7 @@ let rec make ?(cycles = Costs.bayer) ~frame ~start ~stride () =
        advances by [stride] and resets each frame — the paper's
        "programmatic" parallelization of a position-dependent kernel. *)
     let fires = ref 0 in
-    let run_indexed _m ~alloc ~inputs ~outputs =
+    let run _m ~alloc ~inputs ~outputs =
       let win = inputs.(0) in
       let idx = start + (!fires * stride) in
       fires := (!fires + 1) mod fires_per_frame;
@@ -71,9 +71,7 @@ let rec make ?(cycles = Costs.bayer) ~frame ~start ~stride () =
       outputs.(1) <- px gr;
       outputs.(2) <- px b
     in
-    Behaviour.iteration_kernel ~methods
-      ~port_order:([ "in" ], [ "r"; "g"; "b" ])
-      ~run_indexed ()
+    Behaviour.iteration_kernel ~methods ~run ()
   in
   let parallelization =
     Spec.Custom

@@ -93,8 +93,8 @@ let spec ?class_name cfg =
     (* Is the next pending output window fully arrived? Scan-line arrival
        means availability reduces to: has the block containing the window's
        bottom-right pixel arrived. The block index is memoized in
-       [st.need_block] — this test sits inside the static executor's
-       starvation oracle, so it runs on every attempt. *)
+       [st.need_block] — this test sits inside the starvation oracle,
+       so it runs on every attempt. *)
     let update_need_block () =
       let ox = st.wx * sx and oy = st.wy * sy in
       let last_x = ox + win.Size.w - 1 and last_y = oy + win.Size.h - 1 in
@@ -210,94 +210,7 @@ let spec ?class_name cfg =
     let starved (io : Behaviour.io) =
       (not (window_available ())) && not (io.has_input "in")
     in
-    (* Slot-indexed twin of [try_step], one op per firing shape. Each op
-       re-checks the private-state preconditions the generic path consults
-       (emit-first ordering, frame-complete EOF gate) and declines with
-       [None] — mutation-free — when they do not hold, so the engine can
-       fall back to the generic attempt. Fronts, item kinds, and the
-       3-slot emit space are pre-checked by the engine. *)
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "emitWindow" -> 0
-      | "storeBlock" -> 1
-      | "consumeEol" -> 2
-      | "consumeEof" -> 3
-      | _ -> -1
-    in
-    let emit_outs = [| 0 |] and no_outs = [||] in
-    let space_need _ = 3 in
-    let space_outs op = if op = 0 then emit_outs else no_outs in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        if not (window_available ()) then None
-        else begin
-          let ox = st.wx * sx and oy = st.wy * sy in
-          let out = ports.ix_acquire win in
-          let out_d = Image.unsafe_data out in
-          for y = 0 to win.Size.h - 1 do
-            let slot = checked_slot (oy + y) in
-            Array.blit st.store.(slot) ox out_d (y * win.Size.w) win.Size.w
-          done;
-          ports.ix_push 0 (Item.data out);
-          let end_of_row = st.wx = iter.Size.w - 1 in
-          let end_of_frame = end_of_row && st.wy = iter.Size.h - 1 in
-          if end_of_row && cfg.emit_eol && not end_of_frame then
-            ports.ix_push 0 (Item.ctl (Token.eol st.wy));
-          if end_of_frame then begin
-            if cfg.emit_eol then
-              ports.ix_push 0 (Item.ctl (Token.eol st.wy));
-            ports.ix_push 0 (Item.ctl (Token.eof st.frame_idx));
-            st.wx <- 0;
-            st.wy <- iter.Size.h
-          end
-          else if end_of_row then begin
-            st.wx <- 0;
-            st.wy <- st.wy + 1
-          end
-          else st.wx <- st.wx + 1;
-          if st.wy < iter.Size.h then update_need_block ();
-          fired_emitWindow
-        end
-      | 1 -> (
-        if window_available () then None
-        else
-          match ports.ix_pop 0 with
-          | Item.Data img ->
-            if not (Size.equal (Image.size img) cfg.in_block) then
-              Err.graphf "buffer %s: bad input block %s" class_name
-                (Size.to_string (Image.size img));
-            let bx = st.blocks_in mod blocks_per_row
-            and by = st.blocks_in / blocks_per_row in
-            store_block ~bx ~by img;
-            ports.ix_release img;
-            st.blocks_in <- st.blocks_in + 1;
-            fired_storeBlock
-          | Item.Ctl _ ->
-            Err.graphf "buffer %s: indexed storeBlock popped a token"
-              class_name)
-      | 2 ->
-        if window_available () then None
-        else begin
-          ignore (ports.ix_pop 0);
-          fired_consumeEol
-        end
-      | 3 ->
-        if window_available () || st.wy < iter.Size.h then None
-        else begin
-          ignore (ports.ix_pop 0);
-          st.blocks_in <- 0;
-          st.wx <- 0;
-          st.wy <- 0;
-          st.frame_idx <- st.frame_idx + 1;
-          Array.fill st.row_ids 0 r (-1);
-          update_need_block ();
-          fired_consumeEof
-        end
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Buffer ~class_name ~state_words:(storage_words cfg)
     ~parallelization:Spec.Serial

@@ -36,14 +36,12 @@ let spec ?cycles ~w ~h () =
          retained reference would be recycled under us. *)
       Bp_image.Image.blit ~src:inputs.(0) ~dst:coeff ~x:0 ~y:0
     in
-    let run_indexed = function
+    let run = function
       | "runConvolve" -> run_convolve
       | "loadCoeff" -> load_coeff
       | other -> Bp_util.Err.graphf "convolution: unknown method %S" other
     in
-    Behaviour.iteration_kernel ~methods
-      ~port_order:([ "in"; "coeff" ], [ "out" ])
-      ~run_indexed ()
+    Behaviour.iteration_kernel ~methods ~run ()
   in
   Spec.v
     ~class_name:(Printf.sprintf "%dx%d Conv" w h)

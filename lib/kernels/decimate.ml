@@ -12,13 +12,11 @@ let spec ?(cycles = 2) ~fx ~fy () =
   in
   (* Pass-through: storing the input chunk into the output slot transfers
      its ownership onward, so the runtime will not release it. *)
-  let run_indexed _m ~alloc:_ ~inputs ~outputs = outputs.(0) <- inputs.(0) in
+  let run _m ~alloc:_ ~inputs ~outputs = outputs.(0) <- inputs.(0) in
   Spec.v
     ~class_name:(Printf.sprintf "Decimate %dx%d" fx fy)
     ~inputs:[ Port.input "in" (Window.v ~step:(Step.v fx fy) Size.one) ]
     ~outputs:[ Port.output "out" Window.pixel ]
     ~methods
-    ~make_behaviour:(fun () ->
-      Behaviour.iteration_kernel ~methods ~port_order:([ "in" ], [ "out" ])
-        ~run_indexed ())
+    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
     ()

@@ -52,44 +52,7 @@ let init ?(class_name = "Loop Init") ~window ~initial () =
     let starved (io : Behaviour.io) =
       !pending = [] && not (io.has_input "in")
     in
-    (* Slot-indexed twin: op 0 emits a queued initial chunk, op 1 forwards
-       a data chunk, op 2 drops a token. Ops 1 and 2 re-check that no
-       initial chunk is pending (the generic path emits those first). *)
-    let one_out = [| 0 |] and no_outs = [||] in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "emitInitial" -> 0
-      | "forward" -> 1
-      | "dropToken" -> 2
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs op = if op = 2 then no_outs else one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 -> (
-        match !pending with
-        | chunk :: rest ->
-          ports.ix_push 0 (Item.data chunk);
-          pending := rest;
-          fired_emitInitial
-        | [] -> None)
-      | 1 ->
-        if !pending <> [] then None
-        else begin
-          ports.ix_push 0 (Item.data (Item.chunk_exn (ports.ix_pop 0)));
-          fired_forward
-        end
-      | 2 ->
-        if !pending <> [] then None
-        else begin
-          ignore (ports.ix_pop 0);
-          fired_dropToken
-        end
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Replicate ~class_name ~parallelization:Spec.Serial
     ~state_words:(Size.area window.Window.size * max 1 (List.length initial))
@@ -130,40 +93,7 @@ let loop_combine ?(class_name = "Loop Combine") ?(cycles = 4) f =
     (* Every branch starts from the in0 front, so an empty in0 is a
        guaranteed decline (in1 alone can never trigger a firing). *)
     let starved (io : Behaviour.io) = not (io.has_input "in0") in
-    (* Slot-indexed twin: both ops are fully guarded by the engine (front
-       kinds on in0/in1 plus one slot of output space) — no private state
-       to re-check. *)
-    let one_out = [| 0 |] in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "combine" -> 0
-      | "forwardToken" -> 1
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs _ = one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        let a = Item.chunk_exn (ports.ix_pop 0) in
-        let b = Item.chunk_exn (ports.ix_pop 1) in
-        let out = ports.ix_acquire (Image.size a) in
-        Image.map2_into f a b ~dst:out;
-        ports.ix_push 0 (Item.data out);
-        ports.ix_release a;
-        ports.ix_release b;
-        fired_combine
-      | 1 -> (
-        match ports.ix_pop 0 with
-        | Item.Ctl tok ->
-          ports.ix_push 0 (Item.ctl tok);
-          fired_forwardToken
-        | Item.Data _ ->
-          Err.graphf "%s: indexed forwardToken popped a chunk" class_name)
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   let methods =
     [

@@ -67,7 +67,7 @@ let spec ?count_cycles ~bins () =
         counts.(i) <- 0.
       done
     in
-    let run_indexed = function
+    let run = function
       | "count" -> count
       | "configureBins" -> configure_bins
       | other -> Bp_util.Err.graphf "histogram: unknown method %S" other
@@ -83,9 +83,7 @@ let spec ?count_cycles ~bins () =
         [ ("out", out) ]
       | other -> Bp_util.Err.graphf "histogram: unknown token method %S" other
     in
-    Behaviour.iteration_kernel ~methods
-      ~port_order:([ "in"; "bins" ], [ "out" ])
-      ~run_indexed ~token_run ()
+    Behaviour.iteration_kernel ~methods ~run ~token_run ()
   in
   Spec.v ~class_name:"Histogram" ~state_words:(2 * bins)
     ~inputs:
@@ -116,7 +114,7 @@ let merge ~bins () =
         sums.(i) <- sums.(i) +. Image.get img ~x:i ~y:0
       done
     in
-    let run_indexed = function
+    let run = function
       | "accumulate" -> accumulate
       | other -> Bp_util.Err.graphf "merge: unknown method %S" other
     in
@@ -131,8 +129,7 @@ let merge ~bins () =
         [ ("out", out) ]
       | other -> Bp_util.Err.graphf "merge: unknown token method %S" other
     in
-    Behaviour.iteration_kernel ~methods ~port_order:([ "in" ], [ "out" ])
-      ~run_indexed ~token_run ()
+    Behaviour.iteration_kernel ~methods ~run ~token_run ()
   in
   Spec.v ~class_name:"Merge" ~state_words:bins ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" (bins_window bins) ]

@@ -87,52 +87,7 @@ let inset ?class_name ?(chunk = Window.pixel) ~grid ~left ~right ~top ~bottom
           end)
     in
     let starved (io : Behaviour.io) = not (io.has_input "in") in
-    (* Slot-indexed twin. The two firing shapes of [filter] — keep (one
-       push) and drop (no push) — are distinct ops resolved from the
-       entry's push list; each re-checks the cursor's keep decision and
-       declines mutation-free on mismatch. *)
-    let op_of ~method_name ~pops:_ ~pushes =
-      match method_name with
-      | "filter" -> if Array.length pushes = 0 then 1 else 0
-      | "consumeEol" -> 2
-      | "emitEof" -> 3
-      | _ -> -1
-    in
-    let one_out = [| 0 |] and no_outs = [||] in
-    let space_need _ = 1 in
-    let space_outs op = if op = 0 || op = 3 then one_out else no_outs in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        if not (keep_now ()) then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          ports.ix_push 0 (Item.data img);
-          advance_cursor ();
-          fired_filter
-        end
-      | 1 ->
-        if keep_now () then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          ports.ix_release img;
-          advance_cursor ();
-          fired_filter
-        end
-      | 2 ->
-        ignore (ports.ix_pop 0);
-        fired_consumeEol
-      | 3 ->
-        ignore (ports.ix_pop 0);
-        ports.ix_push 0 (Item.ctl (Token.eof !frame_idx));
-        x := 0;
-        y := 0;
-        incr frame_idx;
-        fired_emitEof
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Inset ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" chunk ]
@@ -221,74 +176,7 @@ let pad ?class_name ?(value = 0.) ~frame ~left ~right ~top ~bottom () =
     let starved (io : Behaviour.io) =
       (not (io.has_input "in")) && not (!seen_input && in_margin ())
     in
-    (* Slot-indexed twin. [emitPad] has the one genuinely timing-sensitive
-       precondition in the stdlib: margins only fire for a frame whose data
-       has started arriving, and the recorder may have observed an input
-       front where the timed run has none — so the op re-checks
-       [seen_input || front present] (and that the front is not a token,
-       which the generic path would consume first) and declines
-       mutation-free on mismatch. *)
-    let advance_ix (ports : Behaviour.ports) =
-      let end_of_row = !ox = out_w - 1 in
-      let end_of_frame = end_of_row && !oy = out_h - 1 in
-      if end_of_row then begin
-        ports.ix_push 0 (Item.ctl (Token.eol !oy));
-        ox := 0;
-        if end_of_frame then begin
-          ports.ix_push 0 (Item.ctl (Token.eof !frame_idx));
-          oy := 0;
-          incr frame_idx
-        end
-        else oy := !oy + 1
-      end
-      else ox := !ox + 1;
-      end_of_frame
-    in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "consumeToken" -> 0
-      | "forward" -> 1
-      | "emitPad" -> 2
-      | _ -> -1
-    in
-    let one_out = [| 0 |] and no_outs = [||] in
-    let space_need _ = 3 in
-    let space_outs op = if op = 0 then no_outs else one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      match op with
-      | 0 ->
-        ignore (ports.ix_pop 0);
-        fired_consumeToken
-      | 1 ->
-        if in_margin () then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          seen_input := true;
-          ports.ix_push 0 (Item.data img);
-          if advance_ix ports then seen_input := false;
-          fired_forward
-        end
-      | 2 ->
-        let front_is_token =
-          ports.ix_has 0
-          &&
-          match ports.ix_peek 0 with
-          | Item.Ctl _ -> true
-          | Item.Data _ -> false
-        in
-        if front_is_token || not (in_margin ()) then None
-        else if !seen_input || ports.ix_has 0 then begin
-          let px = ports.ix_acquire Size.one in
-          Image.set px ~x:0 ~y:0 value;
-          ports.ix_push 0 (Item.data px);
-          if advance_ix ports then seen_input := false;
-          fired_emitPad
-        end
-        else None
-      | _ -> None
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Pad ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" Window.pixel ]

@@ -12,13 +12,12 @@ let spec ?cycles ~w ~h () =
   let make_behaviour () =
     (* One sort window per behaviour instance, reused across firings. *)
     let scratch = Array.make (w * h) 0. in
-    let run_indexed _m ~alloc ~inputs ~outputs =
+    let run _m ~alloc ~inputs ~outputs =
       let out = alloc Bp_geometry.Size.one in
       Bp_image.Ops.median_into ~scratch inputs.(0) ~w ~h ~dst:out;
       outputs.(0) <- out
     in
-    Behaviour.iteration_kernel ~methods ~port_order:([ "in" ], [ "out" ])
-      ~run_indexed ()
+    Behaviour.iteration_kernel ~methods ~run ()
   in
   Spec.v
     ~class_name:(Printf.sprintf "%dx%d Median" w h)

@@ -66,51 +66,7 @@ let split ?class_name ?pattern ~window ~ways () =
         end
     in
     let starved (io : Behaviour.io) = not (io.has_input "in") in
-    (* Slot-indexed twin: op 0 broadcasts a token to every branch, op 1+k
-       routes one data chunk to branch k (resolved from the entry's single
-       push slot; the fire re-checks the round-robin cursor and declines
-       mutation-free on mismatch). *)
-    let all_outs = Array.init ways Fun.id in
-    let route_outs = Array.init ways (fun k -> [| k |]) in
-    let op_of ~method_name ~pops:_ ~pushes =
-      match method_name with
-      | "broadcast" -> 0
-      | "route" when Array.length pushes = 1 -> 1 + pushes.(0)
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs op = if op = 0 then all_outs else route_outs.(op - 1) in
-    let fire_indexed (ports : Behaviour.ports) op =
-      if op = 0 then begin
-        match ports.ix_pop 0 with
-        | Item.Ctl tok ->
-          for k = 0 to ways - 1 do
-            ports.ix_push k (Item.ctl tok)
-          done;
-          if tok.Token.kind = Token.End_of_frame then begin
-            branch := 0;
-            sent := 0
-          end;
-          fired_broadcast
-        | Item.Data _ -> Err.graphf "split: indexed broadcast popped data"
-      end
-      else begin
-        let k = op - 1 in
-        if !branch <> k then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          ports.ix_push k (Item.data img);
-          incr sent;
-          if !sent >= pattern.(!branch) then begin
-            sent := 0;
-            branch := (!branch + 1) mod ways
-          end;
-          fired_route
-        end
-      end
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Split ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" window ]
@@ -177,45 +133,7 @@ let join ?class_name ?pattern ~window ~ways () =
     let starved (io : Behaviour.io) =
       not (io.has_input ins_arr.(!branch))
     in
-    (* Slot-indexed twin: op 0 merges one token copy from every branch,
-       op 1+k collects one data chunk from branch k. *)
-    let one_out = [| 0 |] in
-    let op_of ~method_name ~pops ~pushes:_ =
-      match method_name with
-      | "mergeToken" -> 0
-      | "collect" when Array.length pops = 1 -> 1 + pops.(0)
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs _ = one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      if op = 0 then begin
-        match ports.ix_peek !branch with
-        | Item.Ctl tok ->
-          for i = 0 to ways - 1 do
-            ignore (ports.ix_pop i)
-          done;
-          ports.ix_push 0 (Item.ctl tok);
-          if tok.Token.kind = Token.End_of_frame then begin
-            branch := 0;
-            taken := 0
-          end;
-          fired_mergeToken
-        | Item.Data _ -> None
-      end
-      else begin
-        let k = op - 1 in
-        if !branch <> k then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop k) in
-          ports.ix_push 0 (Item.data img);
-          advance ();
-          fired_collect
-        end
-      end
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Join ~class_name ~parallelization:Spec.Serial
     ~inputs:(List.map (fun i -> Port.input i window) ins)
@@ -287,67 +205,7 @@ let column_split ?class_name ~ranges ~frame () =
         end
     in
     let starved (io : Behaviour.io) = not (io.has_input "in") in
-    (* Slot-indexed twin: op 0 broadcasts, op 1 routes a column. The
-       column targets depend on the cursor, so op 1 re-checks space on the
-       computed targets itself (its [space_outs] is empty — the engine
-       never batch-arms it) and declines mutation-free when blocked. *)
-    let all_outs = Array.init parts Fun.id in
-    let no_outs = [||] in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      match method_name with
-      | "broadcast" -> 0
-      | "routeColumn" -> 1
-      | _ -> -1
-    in
-    let space_need _ = 1 in
-    let space_outs op = if op = 0 then all_outs else no_outs in
-    let target_now k =
-      let c0, c1 = ranges.(k) in
-      !x >= c0 && !x < c1
-    in
-    let fire_indexed (ports : Behaviour.ports) op =
-      if op = 0 then begin
-        match ports.ix_pop 0 with
-        | Item.Ctl tok ->
-          for k = 0 to parts - 1 do
-            ports.ix_push k (Item.ctl tok)
-          done;
-          if tok.Token.kind = Token.End_of_frame then x := 0;
-          fired_broadcast
-        | Item.Data _ -> Err.graphf "column split: indexed broadcast on data"
-      end
-      else begin
-        let blocked = ref false in
-        for k = 0 to parts - 1 do
-          if target_now k && ports.ix_space k < 1 then blocked := true
-        done;
-        if !blocked then None
-        else begin
-          let img = Item.chunk_exn (ports.ix_pop 0) in
-          (* Overlap columns go to two stripes; each channel must own its
-             chunk, so stripes beyond the first get pool-backed copies. *)
-          let first = ref true in
-          for k = 0 to parts - 1 do
-            if target_now k then begin
-              let chunk =
-                if !first then img
-                else begin
-                  let d = ports.ix_acquire (Image.size img) in
-                  Image.blit ~src:img ~dst:d ~x:0 ~y:0;
-                  d
-                end
-              in
-              first := false;
-              ports.ix_push k (Item.data chunk)
-            end
-          done;
-          x := (!x + 1) mod w;
-          fired_routeColumn
-        end
-      end
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Split ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" Window.pixel ]
@@ -368,22 +226,7 @@ let replicate ?class_name ~window () =
         end
     in
     let starved (io : Behaviour.io) = not (io.has_input "in") in
-    (* Slot-indexed twin: one op, any item kind, pure pass-through. *)
-    let one_out = [| 0 |] in
-    let op_of ~method_name ~pops:_ ~pushes:_ =
-      if String.equal method_name "copy" then 0 else -1
-    in
-    let space_need _ = 1 in
-    let space_outs _ = one_out in
-    let fire_indexed (ports : Behaviour.ports) op =
-      if op <> 0 then None
-      else begin
-        ports.ix_push 0 (ports.ix_pop 0);
-        fired_copy
-      end
-    in
-    let indexed = { Behaviour.op_of; space_need; space_outs; fire_indexed } in
-    Behaviour.v ~starved ~indexed try_step
+    Behaviour.v ~starved try_step
   in
   Spec.v ~role:Spec.Replicate ~class_name ~parallelization:Spec.Serial
     ~inputs:[ Port.input "in" window ]

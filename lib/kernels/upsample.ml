@@ -23,7 +23,7 @@ let spec ?(cycles = 3) ?(mode = Hold) ~fx ~fy () =
         ~outputs:[ "out" ] ();
     ]
   in
-  let run_indexed _m ~alloc ~inputs ~outputs =
+  let run _m ~alloc ~inputs ~outputs =
     let v = Image.get inputs.(0) ~x:0 ~y:0 in
     let out = alloc (Size.v fx fy) in
     (match mode with
@@ -38,7 +38,5 @@ let spec ?(cycles = 3) ?(mode = Hold) ~fx ~fy () =
     ~inputs:[ Port.input "in" Window.pixel ]
     ~outputs:[ Port.output "out" (Window.block fx fy) ]
     ~methods
-    ~make_behaviour:(fun () ->
-      Behaviour.iteration_kernel ~methods ~port_order:([ "in" ], [ "out" ])
-        ~run_indexed ())
+    ~make_behaviour:(fun () -> Behaviour.iteration_kernel ~methods ~run ())
     ()

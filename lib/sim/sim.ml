@@ -37,7 +37,7 @@ type result = {
   pool : Pool.stats option;  (* chunk-pool counters; None from Sim_reference *)
   static_regions : int;  (* static regions of the schedule, 0 if none *)
   static_fired : int;  (* firings that matched their table entry *)
-  static_indexed_fired : int;  (* of those, dispatched via the slot ABI *)
+  static_indexed_fired : int;  (* always 0; see sim.mli *)
   static_fallback_events : int;  (* table desyncs observed at runtime *)
   static_elided_events : int;  (* provably-declining wakes never dispatched *)
 }
@@ -84,11 +84,6 @@ type chan_rt = {
   mutable max_depth : int;
   mutable producer : party;  (* woken by Ch_pop: space freed *)
   mutable consumer : party;  (* woken by Ch_push: data available *)
-  (* Kernel endpoints, for the quasi-static wake vetting: the node that
-     pushes into this channel and the node that pops it ([None] for
-     emitter/sink/unbound endpoints). *)
-  mutable c_src : node_rt option;
-  mutable c_dst : node_rt option;
 }
 
 (* Who reacts when a channel changes. Wired after construction, because
@@ -121,64 +116,9 @@ and node_rt = {
   st_period : string array;
   mutable st_pos : int;
   mutable st_synced : bool;
-  (* Scripted dispatch (quasi-static mode): the node's resolved firing
-     table compiled against its channel bindings, so a synced static
-     kernel fires through {!Behaviour.indexed} with no name lookup and
-     no closure allocation. [sc_run_left > 0] means a run of identical
-     firings was armed by one guard validation and the next [sc_run_left]
-     scripted firings skip the guard entirely. *)
-  mutable sc : scripted option;
-  mutable sc_run_left : int;
-  (* Scripted cursor over the node's segment-compressed program: the
-     sentry of the current segment, how many positions of it remain
-     (including the current one — the guard's maximal armable run), the
-     segment index, and which side (prelude or period) the cursor walks.
-     Maintained on every table advance so the per-examination hot path
-     and the elision oracle read fields instead of re-deriving a
-     prelude/period index (an integer division) each time. Meaningless
-     while unsynced. *)
-  mutable sc_next : sentry;
-  mutable sc_left : int;
-  mutable sc_seg : int;
-  mutable sc_in_prelude : bool;
-  (* Why the last decline proof held, for O(1) re-vetting of elided wakes
-     on adjacent channel changes (see [wake_push]/[wake_pop]): 0 = no
-     cached proof, 1 = input-blocked on [sc_block_chan] (fewer than one
-     firing's worth queued, everything queued matches the table), 2 =
-     output-space-blocked, 3 = proven by the behaviour's [starved]
-     closure (no incremental form — any adjacent change re-proves in
-     full). Consulted only between an elision and its restore. *)
-  mutable sc_blocked : int;
-  mutable sc_block_chan : chan_rt option;
   rt_f : float array;  (* 0 = total busy seconds; 1 = current busy end *)
   mutable ks_state : kernel_state;  (* as of the last dispatch examination *)
   mutable fb_pending : bool;  (* sources only: next Data push starts a frame *)
-}
-
-and scripted = {
-  sc_ports : Behaviour.ports;  (* slot-indexed io over the bound channels *)
-  sc_fire : Behaviour.ports -> int -> Behaviour.fired option;
-  (* The firing table compressed to segments: one (sentry, length) pair
-     per maximal run of identical firings ([e_run]), per side. A period
-     of hundreds of entries holds only dozens of segments and a handful
-     of distinct compiled shapes, so this is what the per-[run] wiring
-     builds — nothing in the engine is sized by raw entry count. *)
-  sc_pre_segs : sentry array;
-  sc_pre_runs : int array;
-  sc_per_segs : sentry array;
-  sc_per_runs : int array;
-}
-
-(* One compiled firing-table shape: the behaviour op index plus the exact
-   ring checks that prove the generic path would fire this entry next. *)
-and sentry = {
-  sop : int;  (* Behaviour.indexed op, -1 = dispatch generically *)
-  s_pops : (chan_rt * Static_schedule.item_kind array) array;
-      (* per popped input channel: expected front kinds of ONE firing *)
-  s_outs : (chan_rt array * int) array;
-      (* per space-checked output port: fan-out set and pushes per firing *)
-  s_need : int;  (* free slots one firing needs on each checked port *)
-  s_armable : bool;  (* safe to arm a multi-firing run from one guard *)
 }
 
 and emitter_rt = {
@@ -220,62 +160,6 @@ type proc_rt = {
    this throwaway control item so the ring never pins live pixel data. *)
 let dummy_item = Item.ctl (Token.eof (-1))
 
-
-(* Placeholder for [sc_next] until a node is wired for scripted
-   dispatch; its [sop = -1] routes any accidental use to the generic
-   path. *)
-let null_sentry =
-  { sop = -1; s_pops = [||]; s_outs = [||]; s_need = 0; s_armable = false }
-
-(* Point a scripted node's cursor at the first segment of its program
-   (prelude when one exists, else straight into the period). *)
-let script_init (rt : node_rt) (sc : scripted) =
-  if Array.length sc.sc_pre_segs > 0 then begin
-    rt.sc_in_prelude <- true;
-    rt.sc_seg <- 0;
-    rt.sc_next <- sc.sc_pre_segs.(0);
-    rt.sc_left <- sc.sc_pre_runs.(0)
-  end
-  else if Array.length sc.sc_per_segs > 0 then begin
-    rt.sc_in_prelude <- false;
-    rt.sc_seg <- 0;
-    rt.sc_next <- sc.sc_per_segs.(0);
-    rt.sc_left <- sc.sc_per_runs.(0)
-  end
-  else begin
-    (* No recorded firings at all: park on the null sentry forever. *)
-    rt.sc_next <- null_sentry;
-    rt.sc_left <- max_int
-  end
-
-(* Step a scripted node's cursor one table position forward: consume one
-   position of the current segment, rolling into the next segment — and
-   from the end of the prelude into the period, which then cycles — when
-   it runs dry. *)
-let advance_script (rt : node_rt) (sc : scripted) =
-  if rt.sc_left > 1 then rt.sc_left <- rt.sc_left - 1
-  else begin
-    let s = rt.sc_seg + 1 in
-    if rt.sc_in_prelude && s >= Array.length sc.sc_pre_segs then begin
-      rt.sc_in_prelude <- false;
-      rt.sc_seg <- 0;
-      rt.sc_next <- sc.sc_per_segs.(0);
-      rt.sc_left <- sc.sc_per_runs.(0)
-    end
-    else begin
-      let s = if rt.sc_in_prelude || s < Array.length sc.sc_per_segs then s else 0 in
-      if rt.sc_in_prelude then begin
-        rt.sc_seg <- s;
-        rt.sc_next <- sc.sc_pre_segs.(s);
-        rt.sc_left <- sc.sc_pre_runs.(s)
-      end
-      else begin
-        rt.sc_seg <- s;
-        rt.sc_next <- sc.sc_per_segs.(s);
-        rt.sc_left <- sc.sc_per_runs.(s)
-      end
-    end
-  end
 
 let find_port what (rt : node_rt) (a : (string * 'a) array) port =
   let n = Array.length a in
@@ -342,8 +226,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
           max_depth = 0;
           producer = P_none;
           consumer = P_none;
-          c_src = None;
-          c_dst = None;
         })
     graph_chans;
   let chan_rt id = Hashtbl.find chan_tbl id in
@@ -440,23 +322,11 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
           st_period;
           st_pos = 0;
           st_synced = Array.length st_period > 0;
-          sc = None;
-          sc_run_left = 0;
-          sc_next = null_sentry;
-          sc_left = 0;
-          sc_seg = 0;
-          sc_in_prelude = false;
-          sc_blocked = 0;
-          sc_block_chan = None;
           rt_f = [| 0.; 0. |];
           ks_state = Ks_idle;
           fb_pending = true;
         }
       in
-      Array.iter (fun (_, c) -> c.c_dst <- Some rt) in_chans;
-      Array.iter
-        (fun (_, cs) -> Array.iter (fun c -> c.c_src <- Some rt) cs)
-        out_chans;
       if n.Graph.spec.Spec.role = Spec.Sink then
         Hashtbl.replace sink_eof_times n.Graph.id (ref []);
       if n.Graph.spec.Spec.role = Spec.Source then
@@ -570,24 +440,53 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
          else
            match dst.proc with Some p -> P_proc p | None -> P_none))
     graph_chans;
+  (* Every kernel of a processor provably declining right now? Then its
+     post-service examination would fire nothing, and the [Proc_free]
+     wake can be elided (restored by the first adjacent channel change
+     that breaks the proof — see [wake_proc]). The proof is each
+     kernel's own [starved] oracle, read against its io at call time.
+     The test is specialized per processor at startup: the common
+     one-kernel mapping collapses to a single call, and a processor with
+     any oracle-less kernel is never provably declining. *)
+  let p_all_starved =
+    Array.map
+      (fun proc ->
+        let rec collect i acc =
+          if i < 0 then Some acc
+          else
+            let rt = proc.kernels.(i) in
+            match rt.behaviour.Behaviour.starved with
+            | Some st -> collect (i - 1) ((fun () -> st rt.io) :: acc)
+            | None -> None
+        in
+        match collect (Array.length proc.kernels - 1) [] with
+        | None -> fun () -> false
+        | Some [ f ] -> f
+        | Some fs ->
+          let fs = Array.of_list fs in
+          let n = Array.length fs in
+          fun () ->
+            let rec go i = i >= n || (fs.(i) () && go (i + 1)) in
+            go 0)
+      procs
+  in
   (* Ready-set marking. In quasi-static mode a mark that lands on a busy
      processor whose end-of-service wake was elided re-proves the elision
-     ([p_oracle], the same per-processor decline proof the firing site
-     used): while every kernel still provably declines the wake stays
-     elided, and the first change that breaks the proof restores the wake
-     at the exact time (and reserved heap rank) the eager engine would
-     have used. [static_elided] counts wakes that stay elided for good:
-     each is exactly one eager-engine event that would have been
-     dispatched and declined, so [!processed + !static_elided] equals the
-     eager engine's event count. *)
+     with the same per-processor decline proof the firing site used:
+     while every kernel still provably declines the wake stays elided,
+     and the first change that breaks the proof restores the wake at the
+     exact time (and reserved heap rank) the eager engine would have
+     used. [static_elided] counts wakes that stay elided for good: each
+     is exactly one eager-engine event that would have been dispatched
+     and declined, so [!processed + !static_elided] equals the eager
+     engine's event count. *)
   let static_elided = ref 0 in
-  let p_oracle = ref (fun (_ : int) -> false) in
   let wake_proc p =
     let proc = procs.(p) in
     if
       (not proc.pf_scheduled)
       && p_busy_until.(p) > now.(0) +. 1e-15
-      && not (!p_oracle p)
+      && not (p_all_starved.(p) ())
     then begin
       proc.pf_scheduled <- true;
       decr static_elided;
@@ -595,63 +494,11 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
         proc_free.(p)
     end
   in
-  (* Vetting an elided wake against a single channel change, O(1) in the
-     common cases. A pop on the producer's output only grows its space:
-     it cannot lift an input block (proof kind 1), so the elision stands
-     untouched; every other cached kind re-proves in full. *)
-  let wake_pop (c : chan_rt) p =
-    let proc = procs.(p) in
-    if (not proc.pf_scheduled) && p_busy_until.(p) > now.(0) +. 1e-15 then
-      match c.c_src with
-      | Some rt when rt.sc_blocked = 1 -> ()
-      | _ -> wake_proc p
-  in
-  (* A push on the consumer's input: positions at or beyond one firing's
-     worth cannot touch the proof (the predicted firing never reads
-     them); below that, the new item either matches the table — in which
-     case only the blocking channel reaching a full firing's worth can
-     lift an input block — or contradicts it, voiding the proof. *)
-  let wake_push (c : chan_rt) p =
-    let proc = procs.(p) in
-    if (not proc.pf_scheduled) && p_busy_until.(p) > now.(0) +. 1e-15 then
-      match c.c_dst with
-      | Some rt when rt.sc_blocked = 1 || rt.sc_blocked = 2 ->
-        let e = rt.sc_next in
-        let pops = e.s_pops in
-        let np = Array.length pops in
-        let rec find i =
-          if i >= np then -1
-          else
-            let cc, _ = pops.(i) in
-            if cc == c then i else find (i + 1)
-        in
-        let ix = find 0 in
-        if ix < 0 then () (* not popped by the predicted firing *)
-        else begin
-          let _, kinds = pops.(ix) in
-          let u = Array.length kinds in
-          let len = Ring.length c.ring in
-          let pos = len - 1 in
-          if pos >= u then () (* beyond the first firing *)
-          else if
-            Static_schedule.kind_of_item (Ring.peek_at c.ring pos)
-            == kinds.(pos)
-          then begin
-            if
-              rt.sc_blocked = 1
-              && len >= u
-              && match rt.sc_block_chan with Some b -> b == c | None -> false
-            then wake_proc p
-          end
-          else wake_proc p (* first-firing mismatch: proof void *)
-        end
-      | _ -> wake_proc p
-  in
   let mark_producer (c : chan_rt) =
     match c.producer with
     | P_proc p ->
       procs.(p).ready <- true;
-      if static_mode then wake_pop c p
+      if static_mode then wake_proc p
     | P_emit e -> if e.em_blocked then e.em_woken <- true
     | P_sink _ | P_none -> ()
   in
@@ -659,7 +506,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     match c.consumer with
     | P_proc p ->
       procs.(p).ready <- true;
-      if static_mode then wake_push c p
+      if static_mode then wake_proc p
     | P_sink s -> s.s_marked <- true
     | P_emit _ | P_none -> ()
   in
@@ -792,228 +639,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     }
   in
   Hashtbl.iter (fun _ rt -> rt.io <- build_io rt) node_rts;
-  (* Scripted-dispatch wiring (quasi-static mode): compile each static
-     node's resolved firing table against its channel bindings, so synced
-     kernels fire through {!Behaviour.indexed} with no port-name lookup.
-     The slot-indexed io repeats [build_io]'s bookkeeping operation for
-     operation minus the sink/source/observer branches — static-region
-     members are never sinks or sources, and observers disable static
-     mode outright. *)
-  let null_chan =
-    {
-      id = -1;
-      ring = Ring.create ~capacity:1 ~dummy:dummy_item;
-      hops = 0;
-      max_depth = 0;
-      producer = P_none;
-      consumer = P_none;
-      c_src = None;
-      c_dst = None;
-    }
-  in
-  let build_ports (rt : node_rt) (ix_in : chan_rt array)
-      (ix_out : chan_rt array array) =
-    {
-      Behaviour.ix_peek = (fun s -> Ring.peek ix_in.(s).ring);
-      ix_pop =
-        (fun s ->
-          let c = ix_in.(s) in
-          let item = Ring.pop c.ring in
-          rt.cw_read <- rt.cw_read + Item.words item;
-          mark_producer c;
-          item);
-      ix_push =
-        (fun s item ->
-          let cs = ix_out.(s) in
-          for i = 0 to Array.length cs - 1 do
-            let c = cs.(i) in
-            (* Fan-out: pool-backed copies beyond channel 0, exactly as
-               [build_io.push]. *)
-            let item =
-              if i = 0 then item
-              else
-                match item with
-                | Item.Data img ->
-                  let d = acquire_chunk (Image.size img) in
-                  Image.blit ~src:img ~dst:d ~x:0 ~y:0;
-                  Item.data d
-                | Item.Ctl _ -> item
-            in
-            Ring.push c.ring item;
-            let depth = Ring.length c.ring in
-            if depth > c.max_depth then c.max_depth <- depth;
-            rt.cw_write <- rt.cw_write + Item.words item;
-            rt.cw_hop <- rt.cw_hop + (c.hops * Item.words item);
-            mark_consumer c
-          done);
-      ix_space =
-        (fun s ->
-          let cs = ix_out.(s) in
-          let n = Array.length cs in
-          if n = 0 then max_int
-          else begin
-            let acc = ref max_int in
-            for i = 0 to n - 1 do
-              let free = Ring.space cs.(i).ring in
-              if free < !acc then acc := free
-            done;
-            !acc
-          end);
-      ix_has = (fun s -> not (Ring.is_empty ix_in.(s).ring));
-      ix_acquire = acquire_chunk;
-      ix_release = release_chunk;
-    }
-  in
-  if static_mode then
-    List.iter
-      (fun id ->
-        let rt = node_rt id in
-        match
-          (rt.behaviour.Behaviour.indexed, Static_schedule.table sched id)
-        with
-        | Some ix, Some tbl ->
-          let spec = rt.node.Graph.spec in
-          let ix_in =
-            Array.of_list
-              (List.map
-                 (fun name ->
-                   (* An unconnected input never appears in a recorded
-                      entry; the shared placeholder keeps the array dense. *)
-                   match
-                     Array.find_opt
-                       (fun (n, _) -> String.equal n name)
-                       rt.in_chans
-                   with
-                   | Some (_, c) -> c
-                   | None -> null_chan)
-                 (Spec.input_order spec))
-          in
-          let ix_out =
-            Array.of_list
-              (List.map
-                 (fun name -> find_port "output" rt rt.out_chans name)
-                 (Spec.output_order spec))
-          in
-          let compile (e : Static_schedule.entry) =
-            let op =
-              ix.Behaviour.op_of ~method_name:e.Static_schedule.e_method
-                ~pops:e.Static_schedule.e_pop_slots
-                ~pushes:e.Static_schedule.e_push_slots
-            in
-            if op < 0 then
-              {
-                sop = -1;
-                s_pops = [||];
-                s_outs = [||];
-                s_need = 0;
-                s_armable = false;
-              }
-            else begin
-              (* Group the entry's pops by input slot, order preserved. *)
-              let slots = ref [] in
-              Array.iter
-                (fun s ->
-                  if not (List.mem s !slots) then slots := s :: !slots)
-                e.Static_schedule.e_pop_slots;
-              let s_pops =
-                Array.of_list
-                  (List.rev_map
-                     (fun s ->
-                       let kinds = ref [] in
-                       Array.iteri
-                         (fun i s' ->
-                           if s' = s then
-                             kinds :=
-                               snd e.Static_schedule.e_pops.(i) :: !kinds)
-                         e.Static_schedule.e_pop_slots;
-                       (ix_in.(s), Array.of_list (List.rev !kinds)))
-                     !slots)
-              in
-              let outs = ix.Behaviour.space_outs op in
-              let s_outs =
-                Array.of_list
-                  (List.filter_map
-                     (fun o ->
-                       let cs = ix_out.(o) in
-                       if Array.length cs = 0 then None
-                       else begin
-                         (* Pushes per firing per channel: every fan-out
-                            channel of the port receives the same count. *)
-                         let cid = cs.(0).id in
-                         let u = ref 0 in
-                         Array.iter
-                           (fun (c, _) -> if c = cid then incr u)
-                           e.Static_schedule.e_pushes;
-                         Some (cs, !u)
-                       end)
-                     (Array.to_list outs))
-              in
-              {
-                sop = op;
-                s_pops;
-                s_outs;
-                s_need = ix.Behaviour.space_need op;
-                s_armable =
-                  (* An op whose space the engine cannot pre-check (it
-                     self-checks inside the fire) is never batch-armed. *)
-                  Array.length e.Static_schedule.e_pushes = 0
-                  || Array.length outs > 0;
-              }
-            end
-          in
-          (* A table has one entry per recorded firing but only dozens of
-             segments and a handful of distinct shapes, pre-computed by
-             the schedule recorder ([e_run], [e_shape]); compile each shape
-             once, emit one (sentry, length) pair per maximal run, and
-             nothing in the per-[run] wiring is sized by raw entry
-             count. *)
-          let nshapes = ref 1 in
-          let count (e : Static_schedule.entry) =
-            if e.Static_schedule.e_shape >= !nshapes then
-              nshapes := e.Static_schedule.e_shape + 1
-          in
-          Array.iter count tbl.Static_schedule.t_prelude;
-          Array.iter count tbl.Static_schedule.t_period;
-          let protos = Array.make !nshapes None in
-          let proto_of (e : Static_schedule.entry) =
-            match protos.(e.Static_schedule.e_shape) with
-            | Some s -> s
-            | None ->
-              let s = compile e in
-              protos.(e.Static_schedule.e_shape) <- Some s;
-              s
-          in
-          let segments (entries : Static_schedule.entry array) =
-            let n = Array.length entries in
-            let acc = ref [] and i = ref 0 in
-            while !i < n do
-              let e = entries.(!i) in
-              acc := (proto_of e, e.Static_schedule.e_run) :: !acc;
-              i := !i + max 1 e.Static_schedule.e_run
-            done;
-            let l = List.rev !acc in
-            (Array.of_list (List.map fst l), Array.of_list (List.map snd l))
-          in
-          let pre_segs, pre_runs = segments tbl.Static_schedule.t_prelude in
-          let per_segs, per_runs = segments tbl.Static_schedule.t_period in
-          let sc =
-            {
-              sc_ports = build_ports rt ix_in ix_out;
-              sc_fire = ix.Behaviour.fire_indexed;
-              sc_pre_segs = pre_segs;
-              sc_pre_runs = pre_runs;
-              sc_per_segs = per_segs;
-              sc_per_runs = per_runs;
-            }
-          in
-          rt.sc <- Some sc;
-          if rt.st_synced then script_init rt sc
-        | _ -> ())
-      static_ids;
-  (* One step of a node. Service-time pricing happens at the dispatch
-     site — the only caller that needs it — from the [cw_*] word
-     counters; a sink or emitter firing prices nothing, and a step
-     returns the behaviour's interned [fired] with no wrapper. *)
   (* Table reconciliation (telemetry only): a firing either matches the
      next entry of the node's table — walking prelude then cycling the
      period — or desyncs the node for the rest of the run. *)
@@ -1031,15 +656,18 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
        || String.equal expected f.Behaviour.method_name
     then begin
       rt.st_pos <- rt.st_pos + 1;
-      (match rt.sc with Some sc -> advance_script rt sc | None -> ());
       incr static_fired
     end
     else begin
       rt.st_synced <- false;
-      rt.sc_run_left <- 0;
       incr static_fallback
     end
   in
+  (* One step of a node: the one way any node fires. Service-time
+     pricing happens at the dispatch site — the only caller that needs
+     it — from the [cw_*] word counters; a sink or emitter firing prices
+     nothing, and a step returns the behaviour's interned [fired] with no
+     wrapper. *)
   let step_node (rt : node_rt) =
     rt.cw_read <- 0;
     rt.cw_write <- 0;
@@ -1051,170 +679,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
       rt.rt_fires <- rt.rt_fires + 1;
       if rt.st_synced then reconcile rt f;
       fired
-  in
-  (* Scripted dispatch: fire the node's next table entry through the
-     slot-indexed ABI. The guard proves the generic path would fire
-     exactly this entry next — fronts present with the recorded kinds,
-     space for the recorded pushes — and [fire_indexed] re-checks any
-     private-state precondition, declining mutation-free on mismatch, in
-     which case (and on any guard failure) the attempt falls back to the
-     generic [step_node] with its PR-7 reconcile semantics intact. *)
-  let static_indexed = ref 0 in
-  (* The guard's three-way verdict on entry [e] at the front of the
-     table, with [run] = the identical-firing run length from the
-     current position:
-
-     - [k >= 1]: one validation proves [k] consecutive firings of [e] —
-       fronts carry the recorded kinds and [space0 - j*u >= need]
-       budgets firing [j] exactly. Sound because only this node consumes
-       its input fronts (producers append at the back) and only this
-       node shrinks its output space.
-     - [0]: unproven either way — a queued item contradicts the table
-       (possible desync); hand the node to the generic path.
-     - [-1]: a proven decline — every queued item matches the table but
-       a popped channel holds fewer than one firing's worth, or the
-       fronts are complete and an output lacks space. A synced node's
-       next firing is its next table entry (Kahn determinism: firing
-       sequences are a function of input item sequences, and static-
-       region kernels branch on item kind only), so the generic
-       examination would deterministically decline; callers skip it, and
-       the post-service elision oracle reuses the same proof.
-
-     Constant constructors make the kind test a physical comparison. *)
-  (* Written as tail-recursive int loops — the guard runs tens of
-     thousands of times per run, and without flambda every [ref] here
-     would be a live minor-heap allocation. *)
-  let guard_k (rt : node_rt) (e : sentry) (run : int) =
-    let nouts = Array.length e.s_outs in
-    let rec outs i k =
-      if i >= nouts then k
-      else begin
-        let cs, u = e.s_outs.(i) in
-        let n = Array.length cs in
-        let rec minfree j sp =
-          if j >= n then sp
-          else
-            let f = Ring.space cs.(j).ring in
-            minfree (j + 1) (if f < sp then f else sp)
-        in
-        let sp = minfree 0 max_int in
-        if sp < e.s_need then -2 (* fronts complete: proven space block *)
-        else if u > 0 then begin
-          let cap = ((sp - e.s_need) / u) + 1 in
-          outs (i + 1) (if cap < k then cap else k)
-        end
-        else outs (i + 1) k
-      end
-    in
-    let npops = Array.length e.s_pops in
-    (* [short]: everything queued on some popped channel matched but one
-       firing's worth isn't there — a proven input block, unless a later
-       channel shows a first-firing mismatch (which makes the verdict
-       unproven and dominates). *)
-    let rec pops i k short =
-      if k = 0 then 0
-      else if i >= npops then if short then -1 else outs 0 k
-      else begin
-        let c, kinds = e.s_pops.(i) in
-        let u = Array.length kinds in
-        let len = Ring.length c.ring in
-        let m = k * u in
-        let maxj = if m < len then m else len in
-        let j =
-          if u = 1 then begin
-            (* Single pop per firing — the overwhelmingly common shape;
-               no index arithmetic in the scan. *)
-            let k0 = kinds.(0) in
-            let rec scan j =
-              if
-                j < maxj
-                && Static_schedule.kind_of_item (Ring.peek_at c.ring j) == k0
-              then scan (j + 1)
-              else j
-            in
-            scan 0
-          end
-          else
-            let rec scan j =
-              if
-                j < maxj
-                && Static_schedule.kind_of_item (Ring.peek_at c.ring j)
-                   == kinds.(j mod u)
-              then scan (j + 1)
-              else j
-            in
-            scan 0
-        in
-        if j < maxj then
-          (* A queued item disagrees with the table. Inside the first
-             firing that is a desync witness (unproven); beyond it, it
-             merely limits the armable run. *)
-          let fir = j / u in
-          pops (i + 1) (if fir < k then fir else k) short
-        else if j = len && len < m then
-          (* All queued items match but fewer than [k] firings' worth are
-             there: blocked at firing [len / u]. *)
-          let fir = j / u in
-          if fir = 0 then begin
-            rt.sc_block_chan <- Some c;
-            pops (i + 1) k true
-          end
-          else pops (i + 1) (if fir < k then fir else k) short
-        else pops (i + 1) (if j / u < k then j / u else k) short
-      end
-    in
-    pops 0 (if e.s_armable then run else 1) false
-  in
-  let step_kernel (rt : node_rt) =
-    match rt.sc with
-    | Some sc when rt.st_synced ->
-      let e = rt.sc_next in
-      if rt.sc_run_left > 0 then begin
-        (* Armed: the guard already proved this whole run of identical
-           firings; dispatch straight into the op. *)
-        rt.cw_read <- 0;
-        rt.cw_write <- 0;
-        rt.cw_hop <- 0;
-        rt.cw_full_out <- -1;
-        match sc.sc_fire sc.sc_ports e.sop with
-        | Some _ as fired ->
-          rt.sc_run_left <- rt.sc_run_left - 1;
-          rt.rt_fires <- rt.rt_fires + 1;
-          rt.st_pos <- rt.st_pos + 1;
-          advance_script rt sc;
-          incr static_fired;
-          incr static_indexed;
-          fired
-        | None ->
-          rt.sc_run_left <- 0;
-          step_node rt
-      end
-      else begin
-        let k = if e.sop >= 0 then guard_k rt e rt.sc_left else 0 in
-        if k > 0 then begin
-          rt.cw_read <- 0;
-          rt.cw_write <- 0;
-          rt.cw_hop <- 0;
-          rt.cw_full_out <- -1;
-          match sc.sc_fire sc.sc_ports e.sop with
-          | Some _ as fired ->
-            rt.sc_run_left <- k - 1;
-            rt.rt_fires <- rt.rt_fires + 1;
-            rt.st_pos <- rt.st_pos + 1;
-            advance_script rt sc;
-            incr static_fired;
-            incr static_indexed;
-            fired
-          | None -> step_node rt
-        end
-        else if k < 0 && not state_observing then
-          (* Proven decline: skip the generic examination outright. (With
-             a state observer installed the generic decline still runs —
-             its [cw_full_out] classifies the blocked state.) *)
-          None
-        else step_node rt
-      end
-    | _ -> step_node rt
   in
   (* Shared progress flag for the dispatch fixpoint, hoisted so the loop
      helpers below close over one ref for the whole run instead of
@@ -1330,96 +794,12 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
      bit-identical to the reference engine, which still calls through
      [Machine] (inlining it here avoids the boxed float each of those
      cross-module calls returns without flambda). *)
-  (* Every kernel of a processor provably declining right now? Then its
-     post-service examination would fire nothing, and the [Proc_free]
-     wake can be elided (restored by the first adjacent channel change —
-     see [wake_proc]). Two proof sources, per kernel:
-
-     - the scripted guard: a synced node's next table entry is blocked
-       on an input or an output ([guard_k] verdict [-1]) — cheaper than
-       the behaviour oracle (direct ring reads, no string-keyed io) and
-       strictly stronger, since it also proves output-blocked declines;
-     - the behaviour's own [starved] oracle, as before, for unscripted
-       kernels and unproven guard verdicts.
-
-     The test is specialized per processor at startup: the common
-     one-kernel mapping collapses to a single call, and a processor with
-     any proof-less kernel is never provably declining. *)
-  let p_all_starved =
-    let kernel_declines (rt : node_rt) =
-      let starved =
-        match rt.behaviour.Behaviour.starved with
-        | Some st ->
-          Some
-            (fun () ->
-              if st rt.io then begin
-                rt.sc_blocked <- 3;
-                true
-              end
-              else false)
-        | None -> None
-      in
-      match rt.sc with
-      | None -> starved
-      | Some _ ->
-        let fallback =
-          match starved with Some f -> f | None -> fun () -> false
-        in
-        Some
-          (fun () ->
-            if not rt.st_synced then fallback ()
-            else if rt.sc_run_left > 0 then false (* armed: will fire *)
-            else
-              let e = rt.sc_next in
-              if e.sop < 0 then fallback ()
-              else
-                let k = guard_k rt e rt.sc_left in
-                if k > 0 then begin
-                  (* A verdict proven here still holds at the wake's
-                     dispatch: matched input fronts cannot change (only
-                     this node pops them, and it only runs here) and
-                     proven output space cannot shrink (only this node
-                     pushes it) — so arm the run now and the dispatch
-                     skips the guard entirely. *)
-                  rt.sc_run_left <- k;
-                  false
-                end
-                else if k < 0 then begin
-                  (* Proven block; remember which kind so adjacent
-                     channel changes can re-vet the proof in O(1). *)
-                  rt.sc_blocked <- (if k = -1 then 1 else 2);
-                  true
-                end
-                else fallback ())
-    in
-    Array.map
-      (fun proc ->
-        let rec collect i acc =
-          if i < 0 then Some acc
-          else
-            let rt = proc.kernels.(i) in
-            match kernel_declines rt with
-            | Some pred -> collect (i - 1) (pred :: acc)
-            | None -> None
-        in
-        match collect (Array.length proc.kernels - 1) [] with
-        | None -> fun () -> false
-        | Some [ f ] -> f
-        | Some fs ->
-          let fs = Array.of_list fs in
-          let n = Array.length fs in
-          fun () ->
-            let rec go i = i >= n || (fs.(i) () && go (i + 1)) in
-            go 0)
-      procs
-  in
-  p_oracle := (fun p -> p_all_starved.(p) ());
   let rec attempt_kernel proc p k i =
     if i >= k then false
     else begin
       let idx = (proc.cursor + i) mod k in
       let rt = proc.kernels.(idx) in
-      match step_kernel rt with
+      match step_node rt with
       | None ->
         if state_observing then
           if rt.cw_full_out >= 0 then
@@ -1650,7 +1030,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     static_regions =
       (if static_mode then Static_schedule.static_regions sched else 0);
     static_fired = !static_fired;
-    static_indexed_fired = !static_indexed;
+    static_indexed_fired = 0;
     static_fallback_events = !static_fallback;
     static_elided_events = !static_elided;
     pool =

@@ -103,12 +103,9 @@ type result = {
           table — the numerator of static coverage (the denominator is
           total fires, summed over [node_stats]). *)
   static_indexed_fired : int;
-      (** Of [static_fired], the firings dispatched through the
-          slot-indexed ABI ({!Bp_kernel.Behaviour.indexed}) — zero name
-          hashing, zero per-firing closure allocation. The remainder went
-          through the generic string-keyed path (kernels without indexed
-          support, entries the guard could not prove, or re-checks that
-          declined). *)
+      (** Always 0: every firing goes through the kernel's [try_step].
+          Kept only because [bpbench/bp_bench.ml:317] reads it as the
+          [sim.indexed_share] metric. *)
   static_fallback_events : int;
       (** Runtime table desyncs: firings whose method diverged from the
           table, dropping their kernel to event-driven accounting for the
@@ -229,21 +226,23 @@ val run :
 
     [static_schedule] supplies a quasi-static schedule (the artifact of
     the compiler's [schedule] pass) and, when no observer is installed,
-    switches the engine to quasi-static execution: kernels whose
-    [starved] oracle proves the next attempt would decline are skipped
-    without entering their [try_step], and a processor whose kernels are all provably
-    starved at fire time elides its end-of-service wake event (restored,
-    at the exact time and heap rank of the eager push, by the first
-    adjacent channel change). Both moves remove only examinations that
-    would deterministically decline, so every simulated outcome — floats
-    included, [events_processed] included (elided wakes count as
-    processed) — is bit-identical to the event-driven engine; only the
-    [static_*] telemetry fields differ. With any observer installed the schedule is ignored
-    and the engine stays fully event-driven, because observers report
-    examinations themselves. A [truncated] schedule is ignored too: it
-    carries no tables, and the run is bit-identical to one without a
-    schedule, [static_*] fields included. See docs/PERFORMANCE.md
-    §"Quasi-static execution". *)
+    turns on wake elision: a processor whose kernels' [starved] oracles
+    all prove the next attempt would decline at fire time elides its
+    end-of-service wake event (restored, at the exact time and heap rank
+    of the eager push, by the first adjacent channel change that breaks
+    the proof). Every firing still goes through [try_step]; elision
+    removes only examinations that would deterministically decline, so
+    every simulated outcome — floats included, [events_processed]
+    included (elided wakes count as processed) — is bit-identical to the
+    event-driven engine; only the [static_*] telemetry fields differ.
+    The schedule's firing tables feed only that telemetry:
+    [static_fired] counts firings that matched their kernel's table.
+    With any observer installed the schedule is ignored and the engine
+    stays fully event-driven, because observers report examinations
+    themselves. A [truncated] schedule is ignored too: it carries no
+    tables, and the run is bit-identical to one without a schedule,
+    [static_*] fields included. See docs/PERFORMANCE.md §"Quasi-static
+    execution". *)
 
 val utilization : result -> proc:int -> float
 (** [(run+read+write) / duration] for one processor. *)

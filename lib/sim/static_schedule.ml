@@ -12,9 +12,9 @@ module Pool = Bp_image.Pool
    plus the partition of the graph into static regions.
 
    The tables are an artifact: the timed engine's correctness NEVER
-   depends on them. What makes the quasi-static executor exact is the
-   kernels' [starved] decline oracles ({!Bp_kernel.Behaviour.t}); the
-   tables only (a) document the steady-state firing pattern, (b) let the
+   depends on them. What makes wake elision exact is the kernels'
+   [starved] decline oracles ({!Bp_kernel.Behaviour.t}); the tables
+   only (a) document the steady-state firing pattern, (b) let the
    engine report how much of a run matched the predicted pattern
    (coverage), and (c) drive the [--dump-after schedule] artifact. A
    kernel whose runtime firing order diverges from its table desyncs and
@@ -46,10 +46,6 @@ type entry = {
   e_method : string;
   e_pops : (int * item_kind) array;  (* channel id, item kind, pop order *)
   e_pushes : (int * item_kind) array;
-  e_pop_slots : int array;  (* input port ordinal of each pop *)
-  e_push_slots : int array;  (* output port ordinal of each push *)
-  e_run : int;  (* length of the identical-firing run starting here *)
-  e_shape : int;  (* index of this entry's distinct shape in its table *)
 }
 
 type node_table = {
@@ -175,33 +171,21 @@ let rec find_port (n : Graph.node) what a port i =
 (* Cut one node's firing sequence into its table. Frames end just past
    each firing that popped an end-of-frame token: the first frame is the
    prelude, the second the period, and a third verifies the period; a
-   trailing partial frame is dropped. [e_run] is swept backwards within
-   each segment, and [e_shape] is the interned index — first-occurrence
-   order over the prelude and period, which are a prefix of the
-   sequence. *)
+   trailing partial frame is dropped. Entries of one shape share a single
+   record. *)
 let table_of (chans : Graph.channel array) r =
   let seq = r.rn_seq.a and len = r.rn_seq.n in
-  let spec = r.rn_node.Graph.spec in
   let has k codes = Array.exists (fun c -> c land 3 = kind_code k) codes in
-  let proto i s =
-    let side slot codes =
-      ( Array.map
-          (fun c -> (chans.(c lsr 2).Graph.chan_id, code_kind.(c land 3)))
-          codes,
-        Array.map (fun c -> slot chans.(c lsr 2)) codes )
+  let proto s =
+    let side codes =
+      Array.map
+        (fun c -> (chans.(c lsr 2).Graph.chan_id, code_kind.(c land 3)))
+        codes
     in
-    let pops, pop_slots =
-      side (fun c -> Spec.input_ordinal spec c.Graph.dst.Graph.port) s.s_pops
-    and pushes, push_slots =
-      side
-        (fun c -> Spec.output_ordinal spec c.Graph.src.Graph.port)
-        s.s_pushes
-    in
-    { e_method = s.s_method; e_pops = pops; e_pushes = pushes;
-      e_pop_slots = pop_slots; e_push_slots = push_slots; e_run = 1;
-      e_shape = i }
+    { e_method = s.s_method; e_pops = side s.s_pops;
+      e_pushes = side s.s_pushes }
   in
-  let protos = Array.mapi proto r.rn_shapes in
+  let protos = Array.map proto r.rn_shapes in
   let eof = Array.map (fun s -> has K_eof s.s_pops) r.rn_shapes in
   let ends = Array.make 3 len and nends = ref 0 and i = ref 0 in
   while !nends < 3 && !i < len do
@@ -211,14 +195,7 @@ let table_of (chans : Graph.channel array) r =
     end;
     incr i
   done;
-  let segment lo hi =
-    let out = Array.make (hi - lo) protos.(seq.(lo)) and run = ref 0 in
-    for i = hi - 1 downto lo do
-      run := if i + 1 < hi && seq.(i + 1) = seq.(i) then !run + 1 else 1;
-      out.(i - lo) <- { (protos.(seq.(i))) with e_run = !run }
-    done;
-    out
-  in
+  let segment lo hi = Array.init (hi - lo) (fun i -> protos.(seq.(lo + i))) in
   let b1 = ends.(0) and b2 = ends.(1) in
   let rec same k =
     k = b2 - b1 || (seq.(b1 + k) = seq.(b2 + k) && same (k + 1))
@@ -519,18 +496,15 @@ let coverage_bound t =
 (* ---- rendering ------------------------------------------------------- *)
 
 let pp_entry ppf e =
-  let pp_side slots ppf a =
+  let pp_side ppf a =
     Array.iteri
       (fun i (cid, k) ->
         if i > 0 then Format.fprintf ppf ",";
-        Format.fprintf ppf "c%d:%s" cid (kind_name k);
-        if i < Array.length slots then Format.fprintf ppf "@@s%d" slots.(i))
+        Format.fprintf ppf "c%d:%s" cid (kind_name k))
       a
   in
-  Format.fprintf ppf "%s[%a -> %a]" e.e_method
-    (pp_side e.e_pop_slots) e.e_pops
-    (pp_side e.e_push_slots) e.e_pushes;
-  if e.e_run > 1 then Format.fprintf ppf "x%d" e.e_run
+  Format.fprintf ppf "%s[%a -> %a]" e.e_method pp_side e.e_pops pp_side
+    e.e_pushes
 
 let pp g ppf t =
   if t.truncated then

@@ -22,42 +22,18 @@ type item_kind = K_data | K_eol | K_eof | K_user
 
 val kind_name : item_kind -> string
 
-val kind_of_item : Bp_kernel.Item.t -> item_kind
-(** The table classification of a queued item — what the engine's
-    scripted-firing guard compares ring fronts against. *)
-
 (** One recorded firing. The recorder runs the real behaviours on the
     timed engine's data plane: one {!Ring} per channel, ports bound once
     per node, chunks from a per-build {!Bp_image.Pool} with pooled copies
     on fan-out channels beyond the first. Each firing is interned against
-    its node's few distinct (method, pops, pushes) shapes, and every
-    field below is computed from those shapes when the tables are cut.
-    Entries that share a shape share its four arrays. *)
+    its node's few distinct (method, pops, pushes) shapes, and entries
+    that share a shape share one record. *)
 type entry = {
   e_method : string;  (** Method the firing executed. *)
   e_pops : (int * item_kind) array;
       (** Channel id and item kind of each pop, in pop order. *)
   e_pushes : (int * item_kind) array;
       (** Channel id and item kind of each push (one per fan-out copy). *)
-  e_pop_slots : int array;
-      (** Input port ordinal of each pop ({!Bp_kernel.Spec.input_ordinal}
-          of the popped channel's destination port) — the slot indices the
-          engine hands to {!Bp_kernel.Behaviour.indexed.fire_indexed}.
-          Aligned with [e_pops]. *)
-  e_push_slots : int array;
-      (** Output port ordinal of each push, aligned with [e_pushes].
-          Fan-out copies of one push repeat the same ordinal. *)
-  e_run : int;
-      (** Length of the maximal run of consecutive identical firings
-          (same method and channel/kind footprint) starting at this
-          entry, within its prelude or period segment — one guard
-          validation by the engine arms the whole run. Always [>= 1]. *)
-  e_shape : int;
-      (** Index of this entry's distinct (method, pops, pushes) shape
-          within its node's table, assigned in first-occurrence order
-          (prelude before period, shared numbering). A table holds at
-          most a handful of shapes, so the engine compiles each shape's
-          slot bindings once per run and indexes them per entry. *)
 }
 
 type node_table = {

@@ -104,15 +104,6 @@ module Instrument_ref = struct
     Metrics.incr t.m ~by:result.Sim.late_emissions "sim.late_emissions";
     Metrics.incr t.m ~by:result.Sim.leftover_items "sim.leftover_items";
     Metrics.set t.m "sim.timed_out" (if result.Sim.timed_out then 1. else 0.);
-    Metrics.set t.m "sim.static.regions"
-      (float_of_int result.Sim.static_regions);
-    Metrics.incr t.m ~by:result.Sim.static_fired "sim.static.fired";
-    Metrics.incr t.m ~by:result.Sim.static_indexed_fired
-      "sim.static.indexed_fired";
-    Metrics.incr t.m ~by:result.Sim.static_fallback_events
-      "sim.static.fallback_events";
-    Metrics.incr t.m ~by:result.Sim.static_elided_events
-      "sim.static.elided_events";
     Array.iteri
       (fun p _ ->
         let busy = Option.value ~default:0. (Metrics.gauge t.m (pe_busy p)) in

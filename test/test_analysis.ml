@@ -75,7 +75,7 @@ let test_needs_buffer_downsample () =
          ~methods
          ~make_behaviour:(fun () ->
            Behaviour.iteration_kernel ~methods
-             ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+             ~run:(fun _ ~alloc:_ ~inputs ~outputs -> outputs.(0) <- inputs.(0))
              ())
          ())
   in
@@ -368,7 +368,7 @@ let test_user_token_budgets () =
       ~methods
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
-          ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~run:(fun _ ~alloc:_ ~inputs ~outputs -> outputs.(0) <- inputs.(0))
           ())
       ()
   in

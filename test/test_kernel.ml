@@ -190,21 +190,28 @@ let test_wrapper_eol_dropped_without_outputs () =
   Alcotest.(check int) "nothing forwarded" 0 (List.length (b.out "out"))
 
 let test_wrapper_undeclared_output_rejected () =
+  (* Token bodies name their outputs, so they are the ones that can name
+     an undeclared one. *)
   let methods =
-    [ Method_spec.on_data ~name:"m" ~inputs:[ "in" ] ~outputs:[ "out" ] () ]
+    [
+      Method_spec.on_data ~name:"m" ~inputs:[ "in" ] ~outputs:[ "out" ] ();
+      Method_spec.on_token ~name:"t" ~input:"in" ~kind:Token.End_of_frame
+        ~outputs:[ "out" ] ();
+    ]
   in
-  let rogue _m ~alloc:_ _inputs = [ ("other", Image.Gen.constant Size.one 0.) ] in
+  let run _m ~alloc:_ ~inputs ~outputs = outputs.(0) <- inputs.(0) in
+  let rogue _m ~alloc:_ _tok = [ ("other", Image.Gen.constant Size.one 0.) ] in
   let spec =
     Kernel.v ~class_name:"rogue"
       ~inputs:[ Port.input "in" Window.pixel ]
       ~outputs:[ Port.output "out" Window.pixel ]
       ~methods
       ~make_behaviour:(fun () ->
-        Behaviour.iteration_kernel ~methods ~run:rogue ())
+        Behaviour.iteration_kernel ~methods ~run ~token_run:rogue ())
       ()
   in
   let b = bench spec in
-  b.feed "in" (px 1.);
+  b.feed "in" (Item.ctl (Token.eof 0));
   expect_error (Err.Graph_malformed "") (fun () -> b.step ())
 
 let test_item_accessors () =

@@ -748,7 +748,7 @@ let bottleneck_fixture () =
           ~inputs:[ "in" ] ~outputs:[ "out" ] ();
       ]
     in
-    let run _m ~alloc:_ inputs = [ ("out", List.assoc "in" inputs) ] in
+    let run _m ~alloc:_ ~inputs ~outputs = outputs.(0) <- inputs.(0) in
     Kernel.v ~class_name:"Heavy"
       ~inputs:[ Port.input "in" Window.pixel ]
       ~outputs:[ Port.output "out" Window.pixel ]
@@ -882,13 +882,15 @@ let test_health_json_valid () =
       (List.mem_assoc "kernel" fields)
   | _ -> Alcotest.fail "bottleneck not an object"
 
-(* The quasi-static telemetry lands in the registry under stable keys
-   and is deterministic across identical runs: the schedule artifact is
-   a pure function of the program, and the engine's elision/reconcile
-   counters are a pure function of the run. Runs are unobserved (no
-   trace/channel/state observers), so quasi-static execution is active.
-   Only the schedule pass's presence is asserted for its wall-clock
-   gauge — timings themselves are not deterministic. *)
+(* The quasi-static telemetry is deterministic across identical runs:
+   the schedule artifact is a pure function of the program, and the
+   engine's elision/reconcile counters are a pure function of the run.
+   Runs are unobserved (no trace/channel/state observers), so wake
+   elision is active. The counters live on [Sim.result] only: the
+   registry carries no [sim.static.*] key, because any observer keeps a
+   run event-driven and would export zeros. Only the schedule pass's
+   presence is asserted for its wall-clock gauge — timings themselves
+   are not deterministic. *)
 let test_static_metrics_deterministic () =
   let run () =
     let plan = compiled_pipeline () in
@@ -897,31 +899,33 @@ let test_static_metrics_deterministic () =
     Instrument.finalize obs ~result;
     let m = Instrument.metrics obs in
     Instrument.record_compile m plan;
-    ( ( Option.get (Metrics.gauge m "sim.static.regions"),
-        Metrics.counter m "sim.static.fired",
-        Metrics.counter m "sim.static.fallback_events",
-        Metrics.counter m "sim.static.elided_events" ),
-      Metrics.gauge m "compile.pass.schedule.wall_s",
-      result )
+    (m, result)
   in
-  let keys1, sched_wall1, res1 = run () in
-  let keys2, _, res2 = run () in
-  Alcotest.(check bool) "static telemetry keys identical across runs" true
-    (keys1 = keys2);
-  let regions, fired, fallback, elided = keys1 in
-  Alcotest.(check (float 0.)) "regions gauge mirrors the result"
-    (float_of_int res1.Sim.static_regions)
-    regions;
-  Alcotest.(check int) "fired counter mirrors the result"
-    res1.Sim.static_fired fired;
-  Alcotest.(check int) "no fallbacks on the image pipeline" 0 fallback;
-  Alcotest.(check int) "elided counter mirrors the result"
-    res1.Sim.static_elided_events elided;
-  Alcotest.(check bool) "tables actually fired" true (fired > 0);
-  Alcotest.(check bool) "wakes actually elided" true (elided > 0);
+  let m, res1 = run () in
+  let _, res2 = run () in
+  let telemetry (r : Sim.result) =
+    ( r.Sim.static_regions,
+      r.Sim.static_fired,
+      r.Sim.static_fallback_events,
+      r.Sim.static_elided_events )
+  in
+  Alcotest.(check bool) "static telemetry identical across runs" true
+    (telemetry res1 = telemetry res2);
+  Alcotest.(check bool) "image pipeline has static regions" true
+    (res1.Sim.static_regions > 0);
+  Alcotest.(check int) "no fallbacks on the image pipeline" 0
+    res1.Sim.static_fallback_events;
+  Alcotest.(check bool) "tables actually matched" true
+    (res1.Sim.static_fired > 0);
+  Alcotest.(check bool) "wakes actually elided" true
+    (res1.Sim.static_elided_events > 0);
   Alcotest.(check int) "results identical across runs"
     res1.Sim.events_processed res2.Sim.events_processed;
-  match sched_wall1 with
+  Alcotest.(check (list string)) "no sim.static.* key in the registry" []
+    (List.filter
+       (fun n -> String.starts_with ~prefix:"sim.static." n)
+       (Metrics.names m));
+  match Metrics.gauge m "compile.pass.schedule.wall_s" with
   | None -> Alcotest.fail "compile.pass.schedule.wall_s gauge missing"
   | Some w ->
     Alcotest.(check bool) "schedule pass wall gauge non-negative" true

@@ -5,9 +5,10 @@
      the same plan forced event-driven — every result field compared,
      floats, event counts and pool counters included; only the
      [static_*] telemetry may differ; every suite run drains;
-   - on the rate-static image-pipeline entries the tables script over
-     half of all firings, and over 90% of those take the slot-indexed
-     path;
+   - on the rate-static image-pipeline entries the tables match over
+     half of all firings, and every suite run elides at least a quarter
+     of its events — without that floor the differential could pass
+     while comparing two event-driven runs;
    - the suite never desyncs ([static_fallback_events = 0]): per-node
      firing sequences are a function of input item sequences alone, so
      the untimed recorder's tables always match the timed run;
@@ -38,7 +39,7 @@ let strip_static (r : Sim.result) =
     static_elided_events = 0;
   }
 
-(* The share of all firings that the firing tables scripted. *)
+(* The share of all firings that matched their firing tables. *)
 let static_coverage (r : Sim.result) =
   let fires =
     List.fold_left
@@ -49,7 +50,7 @@ let static_coverage (r : Sim.result) =
 
 (* The image-pipeline entries are rate-static: no reactive merge and no
    user token keeps a kernel out of the static regions, so the tables
-   carry most firings, and every stdlib kernel fires slot-indexed. *)
+   match most firings. *)
 let rate_static_labels = [ "SS"; "SF"; "BS"; "BF"; "5" ]
 
 (* Each entry runs two ways, quasi-static and event-driven; they agree
@@ -88,17 +89,16 @@ let test_static_vs_dynamic_differential () =
             0 st.Sim.static_fallback_events;
           if List.mem label rate_static_labels then begin
             let coverage = static_coverage st in
-            let indexed =
-              float_of_int st.Sim.static_indexed_fired
-              /. float_of_int st.Sim.static_fired
-            in
             if coverage <= 0.5 then
               Alcotest.failf "%s: static coverage %.3f not above 0.5" tag
-                coverage;
-            if indexed <= 0.9 then
-              Alcotest.failf "%s: indexed share %.3f not above 0.9" tag
-                indexed
+                coverage
           end;
+          let elided =
+            float_of_int st.Sim.static_elided_events
+            /. float_of_int st.Sim.events_processed
+          in
+          if elided < 0.25 then
+            Alcotest.failf "%s: elided share %.3f below 0.25" tag elided;
           if st.Sim.static_fired > 0 then any_static := true)
         [ Plan.One_to_one; Plan.Greedy ])
     Apps.Suite.labels;
@@ -241,7 +241,7 @@ let test_table_determinism () =
         (a.Pipeline.schedule = b.Pipeline.schedule))
     Apps.Suite.labels
 
-(* Byte determinism of the resolved tables: two independent compiles
+(* Byte determinism of the recorded tables: two independent compiles
    must serialize to identical bytes — a stricter check than structural
    equality (it also pins field order, sharing, and the absence of any
    nondeterministic state such as hashtable iteration order leaking into
@@ -255,7 +255,7 @@ let test_resolve_byte_determinism () =
         Marshal.to_string p.Pipeline.schedule []
       in
       Alcotest.(check bool)
-        (label ^ ": resolved schedule marshals to identical bytes")
+        (label ^ ": recorded schedule marshals to identical bytes")
         true
         (String.equal (bytes a) (bytes b));
       let render (p : Pipeline.t) =
@@ -349,48 +349,7 @@ let test_known_answer_chain () =
           (Printf.sprintf "node %d EOF firing forwards the EOF token" node)
           true
           (pops = [ Static_schedule.K_eof ]
-          && pushes = [ Static_schedule.K_eof ]);
-        (* The resolve step's slot indices, run lengths, and shape ids —
-           known answers one can derive on paper. A forward kernel has
-           one input port and one output port, so every pop resolves to
-           input slot 0 and every push to output slot 0. The per-frame
-           sequence run run eol / run run eol / eof compresses into runs
-           [2;1;1;2;1;1;1] (the eol and eof firings share a method but
-           not a kind footprint, so they never merge), and into three
-           distinct shapes numbered in first-occurrence order. *)
-        Array.iter
-          (fun (e : Static_schedule.entry) ->
-            Alcotest.(check (array int))
-              (Printf.sprintf "node %d pop slots resolve to input 0" node)
-              [| 0 |] e.Static_schedule.e_pop_slots;
-            Alcotest.(check (array int))
-              (Printf.sprintf "node %d push slots resolve to output 0" node)
-              [| 0 |] e.Static_schedule.e_push_slots)
-          t.Static_schedule.t_period;
-        let runs entries =
-          Array.to_list
-            (Array.map
-               (fun (e : Static_schedule.entry) -> e.Static_schedule.e_run)
-               entries)
-        in
-        let shapes entries =
-          Array.to_list
-            (Array.map
-               (fun (e : Static_schedule.entry) -> e.Static_schedule.e_shape)
-               entries)
-        in
-        Alcotest.(check (list int))
-          (Printf.sprintf "node %d prelude batch run lengths" node)
-          [ 2; 1; 1; 2; 1; 1; 1 ]
-          (runs t.Static_schedule.t_prelude);
-        Alcotest.(check (list int))
-          (Printf.sprintf "node %d period batch run lengths" node)
-          [ 2; 1; 1; 2; 1; 1; 1 ]
-          (runs t.Static_schedule.t_period);
-        Alcotest.(check (list int))
-          (Printf.sprintf "node %d shape ids, first-occurrence order" node)
-          [ 0; 0; 1; 0; 0; 1; 2 ]
-          (shapes t.Static_schedule.t_period))
+          && pushes = [ Static_schedule.K_eof ]))
     [ f1; f2; f3 ];
   (* The chain is one static region; source and sink stay dynamic. *)
   let static_ids = Static_schedule.static_node_ids sched in
@@ -407,11 +366,7 @@ let test_known_answer_chain () =
   Alcotest.(check int) "chain run never desyncs" 0
     st.Sim.static_fallback_events;
   Alcotest.(check bool) "chain run fires from the tables" true
-    (st.Sim.static_fired > 0);
-  (* Forward is a ported stdlib kernel, so every scripted firing takes
-     the closure-free slot-indexed dispatch path. *)
-  Alcotest.(check int) "every scripted firing dispatched slot-indexed"
-    st.Sim.static_fired st.Sim.static_indexed_fired
+    (st.Sim.static_fired > 0)
 
 (* The differential must also hold when runs execute under the sweep
    driver (the sharded path reuses one chunk pool per domain, so the

@@ -131,7 +131,7 @@ let test_overload_reports_stalls () =
       ~methods
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
-          ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~run:(fun _ ~alloc:_ ~inputs ~outputs -> outputs.(0) <- inputs.(0))
           ())
       ()
   in

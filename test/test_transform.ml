@@ -186,7 +186,7 @@ let test_parallelize_serial_overload_rejected () =
       ~methods
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
-          ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~run:(fun _ ~alloc:_ ~inputs ~outputs -> outputs.(0) <- inputs.(0))
           ())
       ()
   in
@@ -216,7 +216,7 @@ let test_parallelize_memory_overflow_rejected () =
       ~methods
       ~make_behaviour:(fun () ->
         Behaviour.iteration_kernel ~methods
-          ~run:(fun _ ~alloc:_ inputs -> [ ("out", List.assoc "in" inputs) ])
+          ~run:(fun _ ~alloc:_ ~inputs ~outputs -> outputs.(0) <- inputs.(0))
           ())
       ()
   in
@@ -415,7 +415,8 @@ let heavy_unary ~name ~cycles f =
     ~methods
     ~make_behaviour:(fun () ->
       Behaviour.iteration_kernel ~methods
-        ~run:(fun _ ~alloc:_ inputs -> [ ("out", Image.map f (List.assoc "in" inputs)) ])
+        ~run:(fun _ ~alloc:_ ~inputs ~outputs ->
+          outputs.(0) <- Image.map f inputs.(0))
         ())
     ()
 
