@@ -153,9 +153,7 @@ let dump_after_arg =
           "Print the graph (nodes, roles, channel counts) as it stands \
            after the named compile pass — one of validate, analyze-pre, \
            align, buffering, parallelize, analyze-post, schedulability, \
-           map, schedule. For $(b,schedule), additionally renders the \
-           quasi-static schedule artifact itself: the static-region \
-           partition and each kernel's prelude/period firing table.")
+           map.")
 
 let explain_arg =
   Arg.(
@@ -199,12 +197,6 @@ let compile_cmd =
       | Some which when not !dumped ->
         Bp_util.Err.unsupportedf "--dump-after: no pass named %S ran" which
       | _ -> ());
-      (* The schedule pass's artifact lives in the plan, not the graph —
-         render it alongside the graph summary the hook printed. *)
-      if dump_after = Some "schedule" then
-        Format.printf "@[<v>%a@]@."
-          (Bp_sim.Static_schedule.pp compiled.Pipeline.graph)
-          compiled.Pipeline.schedule;
       Format.printf "%a" Pipeline.pp_summary compiled;
       if explain then Format.printf "%a@." Plan.pp_explain compiled
       else Format.printf "%a@." Pipeline.pp_passes compiled;
@@ -274,19 +266,20 @@ let sched_arg =
     & info [ "schedulability" ]
         ~doc:"Print the static per-kernel utilization report.")
 
-let no_static_arg =
+let no_elide_arg =
   Arg.(
     value & flag
-    & info [ "no-static" ]
+    & info [ "no-elide" ]
         ~doc:
-          "Force fully event-driven dispatch instead of the plan's \
-           quasi-static schedule (the $(b,schedule) pass), which turns \
-           wake elision off. Results are bit-identical — only wall time \
-           and the static telemetry change (see docs/PERFORMANCE.md).")
+          "Turn wake elision off: dispatch fully event-driven, examining \
+           every end-of-service wake even where the kernels' starvation \
+           oracles prove it would decline. Results are bit-identical — \
+           only wall time and the elided-event count change (see \
+           docs/PERFORMANCE.md).")
 
 let simulate_cmd =
   let run app width height rate frames machine policy greedy trace metrics
-      health gantt energy sched no_static =
+      health gantt energy sched no_elide =
     handle_errors_code @@ fun () ->
     let inst, compiled =
       compile_common app width height rate frames machine policy
@@ -297,8 +290,8 @@ let simulate_cmd =
         compiled.Pipeline.schedulability;
     (* Observability is strictly pay-when-used: each recorder attaches
        only when an artifact that needs it was requested, because any
-       attached observer (correctly) drops the run out of quasi-static
-       execution — a bare [bpc simulate] measures the fast path. *)
+       attached observer (correctly) turns wake elision off — a bare
+       [bpc simulate] measures the fast path. *)
     let want_trace = Option.is_some trace in
     let recorder =
       if want_trace || gantt then Some (Bp_sim.Trace.recorder ()) else None
@@ -327,7 +320,7 @@ let simulate_cmd =
     let gc_before = Bp_obs.Metrics.gc_snapshot () in
     let wall_t0 = Bp_util.Clock.now_s () in
     let result =
-      Plan.run_plan ~static:(not no_static) ?observer
+      Plan.run_plan ~elide:(not no_elide) ?observer
         ?channel_observer:(Option.map Bp_obs.Instrument.channel_observer obs)
         ?state_observer:(Option.map Bp_obs.Health.state_observer hlt)
         ~policy:(policy_of_greedy greedy) compiled ()
@@ -368,13 +361,11 @@ let simulate_cmd =
                 /. float_of_int acquires)
           p.Bp_image.Pool.hits p.Bp_image.Pool.misses p.Bp_image.Pool.live
       | None -> "");
-    if result.Sim.static_regions > 0 then
-      Format.printf
-        "static: %d regions, %d table-matched firings, %d dispatched + %d \
-         elided events, %d fallbacks@."
-        result.Sim.static_regions result.Sim.static_fired
+    (* Elision ran only with the switch on and no observer attached. *)
+    if (not no_elide) && Option.is_none observer && Option.is_none hlt then
+      Format.printf "elision: %d dispatched + %d elided events@."
         (result.Sim.events_processed - result.Sim.static_elided_events)
-        result.Sim.static_elided_events result.Sim.static_fallback_events;
+        result.Sim.static_elided_events;
     Option.iter
       (fun (recorded, _) ->
         if gantt then print_string (Bp_sim.Trace.gantt recorded))
@@ -433,9 +424,9 @@ let simulate_cmd =
          writes a Chrome trace_event timeline, $(b,--metrics) FILE the \
          structured metrics snapshot, $(b,--health) FILE the real-time \
          health snapshot (all JSON; contracts in docs/OBSERVABILITY.md). \
-         $(b,--no-static) forces event-driven dispatch instead of the \
-         plan's quasi-static schedule (docs/PERFORMANCE.md) — results \
-         are bit-identical either way. Observer-backed artifacts \
+         $(b,--no-elide) turns wake elision off and dispatches fully \
+         event-driven (docs/PERFORMANCE.md) — results are bit-identical \
+         either way. Observer-backed artifacts \
          ($(b,--trace)/$(b,--metrics)/$(b,--health)/$(b,--gantt)) \
          themselves drop the run to event-driven dispatch, so a bare \
          $(b,bpc simulate) is also the throughput-measurement \
@@ -448,11 +439,11 @@ let simulate_cmd =
          "Compile, simulate, and verify function and throughput (exits \
           non-zero when the run misses the declared rate, deadlocks, or \
           miscomputes); --trace/--metrics/--health write JSON artifacts, \
-          --no-static A/Bs the dispatch engine")
+          --no-elide A/Bs wake elision")
     Term.(
       const run $ app_arg $ width_arg $ height_arg $ rate_arg $ frames_arg
       $ machine_arg $ policy_arg $ greedy_arg $ trace_arg $ metrics_arg
-      $ health_arg $ gantt_arg $ energy_arg $ sched_arg $ no_static_arg)
+      $ health_arg $ gantt_arg $ energy_arg $ sched_arg $ no_elide_arg)
 
 let jobs_arg =
   Arg.(
@@ -475,7 +466,7 @@ let sweep_cmd =
             "Suite entries to sweep (default: the full Figure 13 suite; \
              see labels in $(b,bpc report fig13)).")
   in
-  let run labels jobs metrics no_static =
+  let run labels jobs metrics no_elide =
     handle_errors_code @@ fun () ->
     let entries =
       match labels with
@@ -498,7 +489,7 @@ let sweep_cmd =
     in
     let t0 = Bp_util.Clock.now_s () in
     Sweep.with_pool ~domains:jobs @@ fun pool ->
-    let outcomes = Sweep.simulate_jobs ~static:(not no_static) pool tasks in
+    let outcomes = Sweep.simulate_jobs ~elide:(not no_elide) pool tasks in
     let wall_s = Bp_util.Clock.elapsed_s ~since:t0 in
     (* The merged table is part of the determinism contract: identical
        for every -j (docs/PARALLELISM.md). Telemetry (wall time, domain
@@ -575,10 +566,9 @@ let sweep_cmd =
          domains — each worker owns its own chunk pool, and results \
          merge back in submission order, so the table is bit-identical \
          for every $(b,-j) (the contract is docs/PARALLELISM.md). Each \
-         run executes under its plan's quasi-static schedule; \
-         $(b,--no-static) forces event-driven dispatch with a \
-         bit-identical table (docs/PERFORMANCE.md). $(b,--metrics) FILE \
-         exports the per-domain \
+         run elides provably-declining wakes; $(b,--no-elide) turns \
+         elision off with a bit-identical table (docs/PERFORMANCE.md). \
+         $(b,--metrics) FILE exports the per-domain \
          sim.domain.<i>.{tasks,wall_s,steal_count} telemetry as JSON.";
     ]
   in
@@ -586,8 +576,8 @@ let sweep_cmd =
     (Cmd.info "sweep" ~man
        ~doc:
          "Simulate the benchmark suite across worker domains (bit-exact \
-          for every -j and for --no-static)")
-    Term.(const run $ labels_arg $ jobs_arg $ metrics_arg $ no_static_arg)
+          for every -j and for --no-elide)")
+    Term.(const run $ labels_arg $ jobs_arg $ metrics_arg $ no_elide_arg)
 
 let run_cmd =
   let file_arg =

@@ -51,7 +51,6 @@ type cstate = {
   mutable st_one_mapping : Mapping.t option;
   mutable st_greedy_groups : Graph.node_id list list;
   mutable st_greedy_mapping : (Mapping.t, Err.t) result option;
-  mutable st_schedule : Static_schedule.t option;
 }
 
 let analysis_exn st =
@@ -219,61 +218,7 @@ let pass_map =
         "1:1 uses %d PEs, greedy packs them onto %d"
         (List.length one_groups) wanted)
 
-(* The schedule pass is a pure artifact producer: it mutates nothing in
-   the graph, so its invariants are about the artifact itself. *)
-let inv_regions_partition =
-  ( "regions-partition",
-    fun st ->
-      match st.st_schedule with
-      | None -> Err.graphf "internal: schedule invariant ran before the pass"
-      | Some sched ->
-        if not sched.Static_schedule.truncated then begin
-          let seen = Hashtbl.create 32 in
-          List.iter
-            (fun (r : Static_schedule.region) ->
-              List.iter
-                (fun id ->
-                  if Hashtbl.mem seen id then
-                    Err.graphf "node %d appears in two schedule regions" id;
-                  Hashtbl.replace seen id ())
-                r.Static_schedule.r_nodes)
-            sched.Static_schedule.regions;
-          List.iter
-            (fun (n : Graph.node) ->
-              if not (Hashtbl.mem seen n.Graph.id) then
-                Err.graphf "node %s missing from the schedule regions"
-                  n.Graph.name)
-            (Graph.nodes st.st_graph)
-        end )
-
-let pass_schedule =
-  Pass.v "schedule" ~invariants:[ inv_regions_partition ] (fun st ->
-      let mapping =
-        match st.st_one_mapping with
-        | Some m -> m
-        | None -> Err.graphf "internal: schedule pass ran before map"
-      in
-      let sched = Static_schedule.build ~graph:st.st_graph ~mapping () in
-      st.st_schedule <- Some sched;
-      if sched.Static_schedule.truncated then
-        Diag.addf st.st_diags Diag.Warning ~pass:"schedule"
-          "recorder truncated after %d firings; simulation falls back to \
-           fully event-driven dispatch"
-          sched.Static_schedule.recorded_firings
-      else
-        Diag.addf st.st_diags Diag.Info ~pass:"schedule"
-          "%d regions (%d static), %d kernels tabled, coverage bound \
-           %.0f%% of %d recorded firings"
-          (List.length sched.Static_schedule.regions)
-          (Static_schedule.static_regions sched)
-          (List.length sched.Static_schedule.tables)
-          (100. *. Static_schedule.coverage_bound sched)
-          sched.Static_schedule.recorded_firings)
-
-(* The sizing prefix, passes 1-8: everything the Section V PE counts and
-   the Section IV verdict depend on. [size] stops here; [compile] goes on
-   to schedule. *)
-let sizing_passes =
+let passes =
   [
     pass_validate;
     pass_analyze_pre;
@@ -285,9 +230,16 @@ let sizing_passes =
     pass_map;
   ]
 
-let passes = sizing_passes @ [ pass_schedule ]
+let require what = function
+  | Some v -> v
+  | None -> Err.graphf "internal: compile finished without %s" what
 
-let run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes =
+let compile ?align_policy ?diags ?after_pass ~machine g =
+  let diags = match diags with Some d -> d | None -> Diag.buffer () in
+  let timings = ref [] in
+  let after_pass =
+    Option.map (fun f ~pass st -> f ~pass st.st_graph) after_pass
+  in
   let st =
     {
       st_graph = g;
@@ -303,26 +255,10 @@ let run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes =
       st_one_mapping = None;
       st_greedy_groups = [];
       st_greedy_mapping = None;
-      st_schedule = None;
     }
   in
   Pass.run_all ~graph:(fun st -> st.st_graph) ~diags ~timings ?after_pass st
     passes;
-  st
-
-let require what = function
-  | Some v -> v
-  | None -> Err.graphf "internal: compile finished without %s" what
-
-let compile ?align_policy ?diags ?after_pass ~machine g =
-  let diags = match diags with Some d -> d | None -> Diag.buffer () in
-  let timings = ref [] in
-  let after_pass =
-    Option.map (fun f ~pass st -> f ~pass st.st_graph) after_pass
-  in
-  let st =
-    run_passes ?align_policy ?after_pass ~diags ~timings ~machine g passes
-  in
   {
     graph = g;
     machine;
@@ -341,26 +277,9 @@ let compile ?align_policy ?diags ?after_pass ~machine g =
         (fun mapping -> { Plan.groups = st.st_greedy_groups; mapping })
         (require "a greedy mapping" st.st_greedy_mapping);
     greedy_groups = st.st_greedy_groups;
-    schedule = require "a schedule" st.st_schedule;
+    schedule = Static_schedule.empty;
     diagnostics = Diag.list diags;
     timings = !timings;
-  }
-
-type sizing = {
-  one_to_one_pes : int;
-  greedy_pes : int;
-  schedulability : Schedulability.t;
-}
-
-let size ?align_policy ~machine g =
-  let st =
-    run_passes ?align_policy ~diags:(Diag.buffer ()) ~timings:(ref [])
-      ~machine g sizing_passes
-  in
-  {
-    one_to_one_pes = List.length st.st_one_groups;
-    greedy_pes = List.length st.st_greedy_groups;
-    schedulability = require "a schedulability report" st.st_sched;
   }
 
 let pp_summary = Plan.pp_summary

@@ -21,20 +21,13 @@
       not a failure — the simulator arbitrates;
     + [map] — both kernel-to-processor mappings (Section V): 1:1 and
       greedy multiplexed; a greedy overflow of the machine's PE budget is
-      recorded, not raised;
-    + [schedule] — quasi-static schedule recovery: an untimed functional
-      execution of the elaborated graph records each kernel's firing
-      sequence, segments it at end-of-frame boundaries into a prelude
-      and a steady-state period, and partitions the graph into static
-      regions ({!Bp_sim.Static_schedule}); invariant: the regions
-      partition the node set exactly. The artifact feeds the
-      simulator's table-match telemetry and [--dump-after schedule].
+      recorded, not raised.
 
-    Passes 1–8 are the sizing prefix: they alone decide the PE counts
-    and the schedulability verdict, and {!size} runs just them.
-
-    No pass places: as in the paper, which kept its annealer out of the
-    flow (Section IV-D), {!Plan.placement} anneals on demand.
+    As in the paper, the compiler ends at mapping. No pass places: the
+    paper kept its annealer out of the flow (Section IV-D), so
+    {!Plan.placement} anneals on demand. No pass schedules either: the
+    simulator's wake elision needs only the kernels' [starved] oracles
+    (see {!Bp_sim.Sim.run}).
 
     Each pass is timed with the monotonic clock and checked by its
     post-invariants at the pass barrier — see {!Pass}. Failures carry
@@ -44,8 +37,8 @@
 type pass_timing = Pass.timing = {
   pass : string;
       (** Pass name: ["validate" | "analyze-pre" | "align" | "buffering" |
-          "parallelize" | "analyze-post" | "schedulability" | "map" |
-          "schedule"], in execution order. *)
+          "parallelize" | "analyze-post" | "schedulability" | "map"], in
+          execution order. *)
   wall_s : float;  (** Monotonic wall seconds spent in the pass. *)
   nodes_before : int;
   nodes_after : int;
@@ -65,7 +58,7 @@ type t = Plan.t = {
   one_to_one : Plan.mapped;
   greedy : (Plan.mapped, Bp_util.Err.t) result;
   greedy_groups : Bp_graph.Graph.node_id list list;
-  schedule : Bp_sim.Static_schedule.t;
+  schedule : Bp_sim.Static_schedule.t;  (** Always empty; see {!Plan.t}. *)
   diagnostics : Bp_util.Diag.t list;
   timings : Pass.timing list;
 }
@@ -84,34 +77,8 @@ val compile :
     to inspect them after a failed compile — the buffer then also holds
     an error entry naming the pass that failed. [after_pass] is invoked
     with the graph after every successful pass barrier — the
-    [bpc compile --dump-after] hook. *)
-
-(** {1 Sizing without a plan} *)
-
-type sizing = {
-  one_to_one_pes : int;  (** Processors the 1:1 mapping wants. *)
-  greedy_pes : int;
-      (** Processors the greedy mapping wants, regardless of the
-          machine bound. *)
-  schedulability : Bp_transform.Schedulability.t;
-      (** The static a-priori argument (Section IV). *)
-}
-(** What a rate probe reads: the two PE counts {!Plan.processors_needed}
-    would report and the plan's schedulability report. *)
-
-val size :
-  ?align_policy:Bp_transform.Align.policy ->
-  machine:Bp_machine.Machine.t ->
-  Bp_graph.Graph.t ->
-  sizing
-(** [size ~machine g] runs only the sizing prefix, passes 1–8
-    ([validate] … [map]), in place on [g], and skips [schedule]. The
-    prefix is the same pass list [compile] starts with and runs through
-    the same {!Pass.run_all} barrier, so its invariants, error classes
-    and pass-name wrapping are those of [compile]; a graph on which
-    [compile] would fail within the first eight passes fails here with
-    the same {!Bp_util.Err.t}. This is the probe {!Rate_search} runs at
-    each rate. *)
+    [bpc compile --dump-after] hook. {!Rate_search} compiles each probe
+    through this same entry point. *)
 
 (** {1 Rendering} *)
 

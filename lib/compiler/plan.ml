@@ -48,12 +48,11 @@ let processors_needed t ~policy =
 
 let errors t = Diag.errors t.diagnostics
 
-let run_plan ?max_time_s ?max_events ?chunk_pool ?(static = true) ?observer
+let run_plan ?max_time_s ?max_events ?chunk_pool ?elide ?observer
     ?channel_observer ?state_observer ~policy t () =
-  let static_schedule = if static then Some t.schedule else None in
   Sim.run ?max_time_s ?max_events ?chunk_pool ?observer ?channel_observer
-    ?state_observer ?static_schedule ~graph:t.graph
-    ~mapping:(mapping t ~policy) ~machine:t.machine ()
+    ?state_observer ?elide ~graph:t.graph ~mapping:(mapping t ~policy)
+    ~machine:t.machine ()
 
 (* ---- rendering --------------------------------------------------------- *)
 
@@ -126,17 +125,4 @@ let pp_explain ppf t =
   | Ok _ -> pp_mapped ppf t Greedy
   | Error e ->
     Format.fprintf ppf "  %-7s unavailable: %a@," "greedy" Err.pp e);
-  (if t.schedule.Static_schedule.truncated then
-     Format.fprintf ppf
-       "schedule: recorder truncated after %d firings; fully dynamic@,"
-       t.schedule.Static_schedule.recorded_firings
-   else
-     Format.fprintf ppf
-       "schedule: %d regions (%d static), %d kernels tabled, coverage \
-        bound %.0f%% of %d recorded firings@,"
-       (List.length t.schedule.Static_schedule.regions)
-       (Static_schedule.static_regions t.schedule)
-       (List.length t.schedule.Static_schedule.tables)
-       (100. *. Static_schedule.coverage_bound t.schedule)
-       t.schedule.Static_schedule.recorded_firings);
   Format.fprintf ppf "@]"

@@ -50,10 +50,10 @@ type t = {
       (** The greedy grouping itself, present even on overflow — the
           processor-count query must not depend on the machine bound. *)
   schedule : Bp_sim.Static_schedule.t;
-      (** The quasi-static schedule (the [schedule] pass): per-kernel
-          periodic firing tables and the static-region partition,
-          recovered by the untimed recorder. {!run_plan} hands it to the simulator by
-          default; [--dump-after schedule] renders it. *)
+      (** Always {!Bp_sim.Static_schedule.empty}: no pass records a
+          schedule. Kept only because [bpbench/bp_bench.ml:319–320]
+          reads [schedule.recorded_firings]; ROADMAP item 1 removes the
+          read, and the field goes with it. *)
   diagnostics : Bp_util.Diag.t list;  (** In emission order. *)
   timings : Pass.timing list;  (** In execution order. *)
 }
@@ -85,7 +85,7 @@ val run_plan :
   ?max_time_s:float ->
   ?max_events:int ->
   ?chunk_pool:Bp_image.Pool.t ->
-  ?static:bool ->
+  ?elide:bool ->
   ?observer:
     (time_s:float ->
     proc:int ->
@@ -118,13 +118,11 @@ val run_plan :
     options — including the [chunk_pool] lending path of
     docs/PARALLELISM.md — pass through to {!Bp_sim.Sim.run} unchanged;
     a run under the NoC delay model of a placement calls
-    {!Bp_sim.Sim.run} with [?placement] directly. [static] (default
-    [true]) supplies the plan's [schedule] artifact to the simulator,
-    enabling wake elision when no observer is installed;
-    [~static:false] (`bpc simulate --no-static`) forces fully
-    event-driven dispatch. Results are bit-identical either way —
-    [events_processed] included, elided wakes are counted — except for
-    the [static_*] telemetry fields; see {!Bp_sim.Sim.run}. *)
+    {!Bp_sim.Sim.run} with [?placement] directly. [elide] (default
+    [true]) is {!Bp_sim.Sim.run}'s wake-elision switch; [~elide:false]
+    ([bpc simulate --no-elide]) forces fully event-driven dispatch.
+    Results are bit-identical either way — [events_processed] included,
+    elided wakes are counted — except for [static_elided_events]. *)
 
 (** {1 Rendering} *)
 

@@ -12,13 +12,14 @@ type result = {
 let try_rate ?align_policy ~machine ~max_pes ~greedy build rate_hz =
   match
     Bp_util.Err.guard (fun () ->
-        Pipeline.size ?align_policy ~machine (build ~rate_hz))
+        Pipeline.compile ?align_policy ~machine (build ~rate_hz))
   with
-  | Ok s ->
+  | Ok plan ->
     let pes =
-      if greedy then s.Pipeline.greedy_pes else s.Pipeline.one_to_one_pes
+      Plan.processors_needed plan
+        ~policy:(if greedy then Plan.Greedy else Plan.One_to_one)
     in
-    let schedulable = s.Pipeline.schedulability.Schedulability.schedulable in
+    let schedulable = plan.Plan.schedulability.Schedulability.schedulable in
     { rate_hz; pes; fits = schedulable && pes <= max_pes }
   | Error _ -> { rate_hz; pes = max_int; fits = false }
 

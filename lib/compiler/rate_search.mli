@@ -5,9 +5,9 @@
     block-parallel compilation finds the minimum number of processors for a
     *given* rate. This module answers StreamIt's question with the
     block-parallel machinery: binary-search over input rates, recompiling
-    the application through the sizing passes ({!Pipeline.size}) at each
-    probe, until the highest rate whose compiled form fits the processor
-    budget (and passes the static schedulability check) is found.
+    the application ({!Pipeline.compile}) at each probe, until the
+    highest rate whose compiled form fits the processor budget (and
+    passes the static schedulability check) is found.
 
     The application is supplied as a builder indexed by rate, since the
     graph must be rebuilt per probe (compilation mutates it). *)
@@ -37,10 +37,9 @@ val search :
   result
 (** [search ~machine ~max_pes build] binary-searches rates in
     [\[lo_hz, hi_hz\]] (defaults 1–1000 Hz, 12 iterations, greedy mapping).
-    A probe fits when the sizing passes [validate] … [map]
-    ({!Pipeline.size}) succeed, the static check passes, and the mapping
-    needs at most [max_pes] processors. [place] and [schedule] never run
-    in a probe: the search reads neither. Failures of the sizing passes
+    A probe fits when {!Pipeline.compile} succeeds, the static check
+    passes, and the mapping needs at most [max_pes] processors
+    ({!Plan.processors_needed}). Compile failures
     ({!Bp_util.Err.Not_schedulable}, {!Bp_util.Err.Resource_exhausted})
     are treated as non-fitting probes, not errors. [align_policy]
     (default: trim) is the alignment repair policy each probe compiles

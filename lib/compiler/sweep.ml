@@ -9,11 +9,6 @@ module Sim = Bp_sim.Sim
 type ctx = { domain : int; chunk_pool : Pool.t }
 type pool = Pool.t Domain_pool.t
 
-let create_pool ?(domains = 1) () =
-  Domain_pool.create ~domains ~resource:(fun _ -> Pool.create ()) ()
-
-let shutdown = Domain_pool.shutdown
-
 let with_pool ?(domains = 1) f =
   Domain_pool.with_pool ~domains ~resource:(fun _ -> Pool.create ()) f
 
@@ -65,13 +60,13 @@ type outcome = {
   o_wall_s : float;
 }
 
-let simulate_jobs ?max_time_s ?(static = true) p jobs =
+let simulate_jobs ?max_time_s ?elide p jobs =
   map p
     (fun ctx job ->
       let t0 = Bp_util.Clock.now_s () in
       let plan = Pipeline.compile ~machine:job.machine (job.build ()) in
       let result =
-        Plan.run_plan ?max_time_s ~chunk_pool:ctx.chunk_pool ~static
+        Plan.run_plan ?max_time_s ~chunk_pool:ctx.chunk_pool ?elide
           ~policy:job.policy plan ()
       in
       {

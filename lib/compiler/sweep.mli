@@ -26,11 +26,11 @@ type ctx = {
 type pool = Bp_image.Pool.t Bp_util.Domain_pool.t
 (** A domain pool whose per-worker resource is a chunk pool. *)
 
-val create_pool : ?domains:int -> unit -> pool
-(** [domains] defaults to 1 (serial, inline — the [-j 1] path). *)
-
-val shutdown : pool -> unit
 val with_pool : ?domains:int -> (pool -> 'a) -> 'a
+(** Run [f] on a fresh pool of [domains] workers (default 1: serial,
+    inline — the [-j 1] path), then shut it down, also on an
+    exception. *)
+
 val domains : pool -> int
 
 val map : pool -> (ctx -> 'a -> 'b) -> 'a list -> 'b list
@@ -86,10 +86,10 @@ type outcome = {
 }
 
 val simulate_jobs :
-  ?max_time_s:float -> ?static:bool -> pool -> job list -> outcome list
+  ?max_time_s:float -> ?elide:bool -> pool -> job list -> outcome list
 (** Compile each job's graph and simulate it under its policy's mapping
     with the worker's chunk pool lent to the run. Outcomes in job
-    order, bit-identical for every [-j] AND for [static] on/off —
-    [static] (default [true]) executes each run under the plan's
-    quasi-static schedule ([bpc sweep --no-static] forces event-driven
-    dispatch; only the [static_*] telemetry fields differ). *)
+    order, bit-identical for every [-j] AND for [elide] on/off —
+    [elide] (default [true]) is {!Bp_sim.Sim.run}'s wake-elision switch
+    ([bpc sweep --no-elide] forces event-driven dispatch; only
+    [static_elided_events] differs). *)

@@ -92,10 +92,6 @@ let node_by_name t name =
   | Some n -> n
   | None -> Err.graphf "no node named %S" name
 
-let set_meta t id meta =
-  let n = node t id in
-  t.node_map <- Int_map.add id { n with meta } t.node_map
-
 let in_channel t id port =
   Int_map.fold
     (fun _ c acc ->

@@ -98,8 +98,6 @@ val node : t -> node_id -> node
 val node_by_name : t -> string -> node
 (** Look a node up by instance name. *)
 
-val set_meta : t -> node_id -> meta -> unit
-
 val nodes : t -> node list
 (** All nodes, in increasing id order. *)
 

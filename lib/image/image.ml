@@ -41,15 +41,6 @@ let sub t ~x ~y (s : Size.t) =
   done;
   out
 
-let sub_into t ~x ~y ~dst =
-  if x < 0 || y < 0 || x + dst.w > t.w || y + dst.h > t.h then
-    invalid_arg
-      (Printf.sprintf "Image.sub_into: window %dx%d@(%d,%d) escapes %dx%d"
-         dst.w dst.h x y t.w t.h);
-  for j = 0 to dst.h - 1 do
-    Array.blit t.data (((y + j) * t.w) + x) dst.data (j * dst.w) dst.w
-  done
-
 let blit ~src ~dst ~x ~y =
   if x < 0 || y < 0 || x + src.w > dst.w || y + src.h > dst.h then
     invalid_arg "Image.blit: source escapes destination";

@@ -40,12 +40,6 @@ val sub : t -> x:int -> y:int -> Bp_geometry.Size.t -> t
     is [(x,y)]. Raises [Invalid_argument] when the window escapes the
     image. *)
 
-val sub_into : t -> x:int -> y:int -> dst:t -> unit
-(** [sub_into img ~x ~y ~dst] extracts the [size dst]-sized window whose
-    upper-left corner is [(x,y)] into [dst], overwriting every pixel of
-    [dst] — the in-place counterpart of {!sub}. Raises [Invalid_argument]
-    when the window escapes the image. *)
-
 val blit : src:t -> dst:t -> x:int -> y:int -> unit
 (** [blit ~src ~dst ~x ~y] writes [src] into [dst] at [(x,y)]. *)
 

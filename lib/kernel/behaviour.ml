@@ -44,12 +44,6 @@ let pop_data io input =
     Err.graphf "expected data on %S, found token %s" input
       (Bp_token.Token.to_string tok)
 
-let front_is_data io input =
-  match io.peek input with Some (Item.Data _) -> true | _ -> false
-
-let front_token io input =
-  match io.peek input with Some (Item.Ctl tok) -> Some tok | _ -> None
-
 (* The helpers below are written as top-level recursions rather than
    List closures on purpose: a closure that captures [io] or a chunk
    list is allocated afresh on every firing, and the firing path is the

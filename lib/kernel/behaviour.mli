@@ -124,9 +124,3 @@ val iteration_kernel :
 
 val pop_data : io -> string -> Bp_image.Image.t
 (** Helper for custom behaviours: pop and assert a data chunk. *)
-
-val front_is_data : io -> string -> bool
-(** True when the input has a data chunk at its front. *)
-
-val front_token : io -> string -> Bp_token.Token.t option
-(** The token at the front of the input, if any. *)

@@ -8,9 +8,6 @@ module Token = Bp_token.Token
 let fired_emit =
   Some { Behaviour.method_name = "emit"; cycles = 0 }
 
-
-let emissions_per_frame ~frame = Size.area frame
-
 (* The worst-case burst of one scheduled emission: the last pixel of a
    frame is followed by its end-of-line and end-of-frame tokens in the
    same firing. The behaviour requires this much space on every emission

@@ -25,10 +25,6 @@ val const :
   ?class_name:string -> chunk:Bp_image.Image.t -> unit -> Bp_kernel.Spec.t
 (** [const ~chunk ()] is a constant source emitting [chunk] once. *)
 
-val emissions_per_frame : frame:Bp_geometry.Size.t -> int
-(** Scheduled emission slots per frame (= pixel count; tokens ride along
-    with the pixel they follow). *)
-
 val emission_burst : int
 (** The worst-case items one emission pushes (pixel + end-of-line +
     end-of-frame at a frame corner). A source only fires with this much

@@ -23,10 +23,6 @@ let peek t =
   if t.len = 0 then invalid_arg "Ring.peek: empty";
   t.data.(t.head)
 
-let peek_at t i =
-  if i < 0 || i >= t.len then invalid_arg "Ring.peek_at: out of range";
-  t.data.(wrap t (t.head + i))
-
 let push t v =
   if t.len = Array.length t.data then invalid_arg "Ring.push: full";
   t.data.(wrap t (t.head + t.len)) <- v;

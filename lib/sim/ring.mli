@@ -29,12 +29,6 @@ val space : 'a t -> int
 val peek : 'a t -> 'a
 (** The front element, without consuming. Raises if empty. *)
 
-val peek_at : 'a t -> int -> 'a
-(** [peek_at t i] is the [i]-th element from the front ([peek_at t 0 =
-    peek t]), without consuming. Raises if [i] is outside [0, length).
-    Lets the static executor prove a prefix of queued items has the
-    right kind before arming a multi-firing run. *)
-
 val push : 'a t -> 'a -> unit
 (** Append at the back. Raises if full. *)
 

@@ -35,10 +35,9 @@ type result = {
   events_processed : int;
   timed_out : bool;
   pool : Pool.stats option;  (* chunk-pool counters; None from Sim_reference *)
-  static_regions : int;  (* static regions of the schedule, 0 if none *)
-  static_fired : int;  (* firings that matched their table entry *)
+  static_fired : int;  (* always 0; see sim.mli *)
   static_indexed_fired : int;  (* always 0; see sim.mli *)
-  static_fallback_events : int;  (* table desyncs observed at runtime *)
+  static_fallback_events : int;  (* always 0; see sim.mli *)
   static_elided_events : int;  (* provably-declining wakes never dispatched *)
 }
 
@@ -108,14 +107,6 @@ and node_rt = {
   mutable s_marked : bool;  (* sinks only: queued for draining *)
   mutable s_first_seen : bool;  (* sinks only: first data chunk recorded *)
   mutable rt_fires : int;
-  (* Quasi-static table cursor: method names of the node's firing table
-     (empty when the schedule has none), the next expected position, and
-     whether the run is still in sync with the table. Telemetry only —
-     see {!Static_schedule}. *)
-  st_prelude : string array;
-  st_period : string array;
-  mutable st_pos : int;
-  mutable st_synced : bool;
   rt_f : float array;  (* 0 = total busy seconds; 1 = current busy end *)
   mutable ks_state : kernel_state;  (* as of the last dispatch examination *)
   mutable fb_pending : bool;  (* sources only: next Data push starts a frame *)
@@ -176,37 +167,21 @@ let find_port what (rt : node_rt) (a : (string * 'a) array) port =
 
 let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     ?placement ?observer ?channel_observer ?state_observer
-    ?static_schedule ~graph:g ~mapping ~machine () =
+    ?(elide = true) ~graph:g ~mapping ~machine () =
   Graph.validate g;
   let pe = machine.Machine.pe in
-  (* Quasi-static mode: active only when a schedule is supplied AND no
-     observer is installed. The elided examinations are exactly ones that
-     would decline (the [starved] oracle contract), so simulated outcomes
-     are bit-identical — but observers report *examinations* (state
-     intervals, per-attempt block events), which elision would thin out.
-     With any observer present the engine stays fully event-driven, and
-     so it does for a truncated schedule, which carries no tables. *)
+  (* Quasi-static mode (wake elision): active only when [elide] is on AND
+     no observer is installed. The elided examinations are exactly ones
+     that would decline (the [starved] oracle contract), so simulated
+     outcomes are bit-identical — but observers report *examinations*
+     (state intervals, per-attempt block events), which elision would
+     thin out. With any observer present the engine stays fully
+     event-driven. *)
   let static_mode =
-    (match static_schedule with
-    | Some s -> not s.Static_schedule.truncated
-    | None -> false)
+    elide
     && (not (Option.is_some observer))
     && (not (Option.is_some channel_observer))
     && not (Option.is_some state_observer)
-  in
-  let sched =
-    match static_schedule with
-    | Some s -> s
-    | None -> Static_schedule.empty
-  in
-  let methods_of (tbl : Static_schedule.node_table option) =
-    match tbl with
-    | None -> ([||], [||])
-    | Some tbl ->
-      ( Array.map (fun e -> e.Static_schedule.e_method)
-          tbl.Static_schedule.t_prelude,
-        Array.map (fun e -> e.Static_schedule.e_method)
-          tbl.Static_schedule.t_period )
   in
   (* Current simulated time, in a one-slot float array so stores stay
      unboxed (a [float ref] boxes on every [:=] without flambda). *)
@@ -268,9 +243,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
       has_input = fail }
   in
   let node_rts = Hashtbl.create 64 in
-  let static_ids =
-    if static_mode then Static_schedule.static_node_ids sched else []
-  in
   List.iter
     (fun (n : Graph.node) ->
       let in_chans =
@@ -292,17 +264,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
                          ~port:p.Bp_kernel.Port.name ())) ))
              n.Graph.spec.Spec.outputs)
       in
-      (* Only static-region members are reconciled against their tables:
-         a node excluded from every static region (user tokens, or an
-         unverified period) has a firing order the schedule deliberately
-         refuses to predict, so holding it to the recorder's order would
-         report spurious desyncs. *)
-      let st_prelude, st_period =
-        methods_of
-          (if static_mode && List.mem n.Graph.id static_ids then
-             Static_schedule.table sched n.Graph.id
-           else None)
-      in
       let rt =
         {
           node = n;
@@ -318,10 +279,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
           s_marked = false;
           s_first_seen = false;
           rt_fires = 0;
-          st_prelude;
-          st_period;
-          st_pos = 0;
-          st_synced = Array.length st_period > 0;
           rt_f = [| 0.; 0. |];
           ks_state = Ks_idle;
           fb_pending = true;
@@ -639,30 +596,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     }
   in
   Hashtbl.iter (fun _ rt -> rt.io <- build_io rt) node_rts;
-  (* Table reconciliation (telemetry only): a firing either matches the
-     next entry of the node's table — walking prelude then cycling the
-     period — or desyncs the node for the rest of the run. *)
-  let static_fired = ref 0 in
-  let static_fallback = ref 0 in
-  let reconcile (rt : node_rt) (f : Behaviour.fired) =
-    let plen = Array.length rt.st_prelude in
-    let expected =
-      if rt.st_pos < plen then rt.st_prelude.(rt.st_pos)
-      else rt.st_period.((rt.st_pos - plen) mod Array.length rt.st_period)
-    in
-    (* Method names are interned per kernel module, so the physical test
-       settles almost every comparison. *)
-    if expected == f.Behaviour.method_name
-       || String.equal expected f.Behaviour.method_name
-    then begin
-      rt.st_pos <- rt.st_pos + 1;
-      incr static_fired
-    end
-    else begin
-      rt.st_synced <- false;
-      incr static_fallback
-    end
-  in
   (* One step of a node: the one way any node fires. Service-time
      pricing happens at the dispatch site — the only caller that needs
      it — from the [cw_*] word counters; a sink or emitter firing prices
@@ -675,9 +608,8 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     rt.cw_full_out <- -1;
     match rt.behaviour.Behaviour.try_step rt.io with
     | None -> None
-    | Some f as fired ->
+    | Some _ as fired ->
       rt.rt_fires <- rt.rt_fires + 1;
-      if rt.st_synced then reconcile rt f;
       fired
   in
   (* Shared progress flag for the dispatch fixpoint, hoisted so the loop
@@ -1027,11 +959,9 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
        and throughput normalizes without a second run. *)
     events_processed = !processed + !static_elided;
     timed_out = !timed_out;
-    static_regions =
-      (if static_mode then Static_schedule.static_regions sched else 0);
-    static_fired = !static_fired;
+    static_fired = 0;
     static_indexed_fired = 0;
-    static_fallback_events = !static_fallback;
+    static_fallback_events = 0;
     static_elided_events = !static_elided;
     pool =
       (let s = Pool.stats chunk_pool in

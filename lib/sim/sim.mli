@@ -13,8 +13,10 @@
     a push, pop, or processor release re-examines only the parties it may
     have unblocked, instead of rescanning every processor to a fixpoint
     after each event. Because kernel [try_step]s are failure-pure, the
-    skipped scans are ones that would deterministically decline; the
-    original full-rescan engine is preserved in {!Sim_reference} and a
+    skipped scans are ones that would deterministically decline. By
+    default ({!run}'s [elide]) the engine also elides end-of-service
+    wakes that its kernels' [starved] oracles prove would decline. The
+    original full-rescan engine is preserved in {!Sim_reference}, and a
     suite-wide differential test keeps the two in exact agreement on
     every application whose emitters never block.
 
@@ -83,38 +85,36 @@ type result = {
           (with [timed_out = false]) rather than polling until the time
           limit. *)
   events_processed : int;
-      (** Heap events the eager engine dispatches for this run — the
-          denominator of the events-per-second throughput the benchmark
-          tracks. Quasi-static execution dispatches fewer (it skips
+      (** Heap events the event-driven engine dispatches for this run —
+          the denominator of the events-per-second throughput the
+          benchmark tracks. Wake elision dispatches fewer (it skips
           provably-declining wakes wholesale) but counts each elided
-          wake here, so the field is bit-identical across modes; the
-          skipped share is [static_elided_events]. *)
+          wake here, so the field is bit-identical with elision on and
+          off; the skipped share is [static_elided_events]. *)
   timed_out : bool;
   pool : Bp_image.Pool.stats option;
       (** Chunk-pool counters for the run's data plane ([None] when the
           result came from the allocation-naive reference engine). The
           hit rate is the fraction of chunk acquisitions served by
           recycling. *)
-  static_regions : int;
-      (** Static regions of the schedule the run executed under (0 when
-          no schedule was supplied or quasi-static mode was inactive). *)
   static_fired : int;
-      (** Firings that matched the next entry of their kernel's firing
-          table — the numerator of static coverage (the denominator is
-          total fires, summed over [node_stats]). *)
+      (** Always 0: no firing table exists to match. Kept only because
+          [bpbench/bp_bench.ml:316] reads it for the
+          [sim.static_coverage] metric; ROADMAP item 1 removes the read. *)
   static_indexed_fired : int;
       (** Always 0: every firing goes through the kernel's [try_step].
-          Kept only because [bpbench/bp_bench.ml:317] reads it as the
-          [sim.indexed_share] metric. *)
+          Kept only because [bpbench/bp_bench.ml:317] reads it for the
+          [sim.indexed_share] metric; ROADMAP item 1 removes the read. *)
   static_fallback_events : int;
-      (** Runtime table desyncs: firings whose method diverged from the
-          table, dropping their kernel to event-driven accounting for the
-          rest of the run. Always 0 for deterministic-dataflow graphs
-          (asserted across the suite in [test/test_schedule.ml]). *)
+      (** Always 0: no firing table exists to desync from. Kept only
+          because [bpbench/bp_bench.ml:318] reads it as the
+          [sim.fallback_events] metric and [:341] fails an op on a
+          nonzero value; ROADMAP item 1 removes both reads. *)
   static_elided_events : int;
-      (** End-of-service wakes elided for good by quasi-static execution:
-          each is exactly one eager-engine event that would have been
-          dispatched and declined. Included in [events_processed]. *)
+      (** End-of-service wakes elided for good by wake elision: each is
+          exactly one event-driven dispatch that would have declined.
+          Included in [events_processed]; 0 when elision was off. Read
+          by [bpbench/bp_bench.ml:313–314], so the name stays. *)
 }
 
 type placement_model = {
@@ -188,7 +188,7 @@ val run :
     state:kernel_state ->
     chan:int option ->
     unit) ->
-  ?static_schedule:Static_schedule.t ->
+  ?elide:bool ->
   graph:Bp_graph.Graph.t ->
   mapping:Mapping.t ->
   machine:Bp_machine.Machine.t ->
@@ -224,25 +224,23 @@ val run :
     [result] is identical with and without them (asserted in
     [test/test_obs.ml]).
 
-    [static_schedule] supplies a quasi-static schedule (the artifact of
-    the compiler's [schedule] pass) and, when no observer is installed,
-    turns on wake elision: a processor whose kernels' [starved] oracles
-    all prove the next attempt would decline at fire time elides its
-    end-of-service wake event (restored, at the exact time and heap rank
-    of the eager push, by the first adjacent channel change that breaks
-    the proof). Every firing still goes through [try_step]; elision
-    removes only examinations that would deterministically decline, so
-    every simulated outcome — floats included, [events_processed]
-    included (elided wakes count as processed) — is bit-identical to the
-    event-driven engine; only the [static_*] telemetry fields differ.
-    The schedule's firing tables feed only that telemetry:
-    [static_fired] counts firings that matched their kernel's table.
-    With any observer installed the schedule is ignored and the engine
-    stays fully event-driven, because observers report examinations
-    themselves. A [truncated] schedule is ignored too: it carries no
-    tables, and the run is bit-identical to one without a schedule,
-    [static_*] fields included. See docs/PERFORMANCE.md §"Quasi-static
-    execution". *)
+    [elide] (default [true]) is the wake-elision switch. When it is on
+    and no observer is installed, a processor whose kernels' [starved]
+    oracles all prove the next attempt would decline at fire time
+    elides its end-of-service wake event (restored, at the exact time
+    and heap rank of the event-driven push, by the first adjacent
+    channel change that breaks the proof). Every firing still goes
+    through [try_step]; elision removes only examinations that would
+    deterministically decline, so every simulated outcome — floats
+    included, [events_processed] included (elided wakes count as
+    processed) — is bit-identical to [~elide:false]; only
+    [static_elided_events] differs. The one exception is a run that
+    [max_events] cuts: the cap counts dispatched events only, so it
+    cuts an elided run later. With any observer installed the
+    engine stays fully event-driven whatever [elide] says, because
+    observers report examinations themselves. [~elide:false]
+    ([bpc simulate --no-elide]) is the A/B baseline. See
+    docs/PERFORMANCE.md §"Quasi-static execution". *)
 
 val utilization : result -> proc:int -> float
 (** [(run+read+write) / duration] for one processor. *)

@@ -462,7 +462,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
     timed_out = !timed_out;
     pool = None;
     (* The reference engine is always fully event-driven. *)
-    static_regions = 0;
     static_fired = 0;
     static_indexed_fired = 0;
     static_fallback_events = 0;

@@ -44,7 +44,6 @@ type 'r t = {
   mutable workers : unit Domain.t array;  (* [||] for the inline pool *)
 }
 
-let recommended_domains () = min 8 (Domain.recommended_domain_count ())
 let domains t = t.n
 
 (* ---- scheduling (all under t.lock) ------------------------------------ *)

@@ -37,11 +37,6 @@ type stats = {
   steals : int;  (** Tasks this domain took from a sibling's queue. *)
 }
 
-val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] capped at 8 — sweeps here are
-    memory-bandwidth-bound well before 8 domains, and the cap keeps the
-    default polite on big hosts. *)
-
 val create : domains:int -> resource:(int -> 'r) -> unit -> 'r t
 (** [create ~domains ~resource ()] starts [domains] worker domains
     ([domains >= 2]; the caller only coordinates), each with

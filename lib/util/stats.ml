@@ -8,14 +8,6 @@ let geomean = function
     let logs = List.map log xs in
     exp (List.fold_left ( +. ) 0. logs /. float_of_int (List.length xs))
 
-let stdev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-    let m = mean xs in
-    let sq = List.map (fun x -> (x -. m) *. (x -. m)) xs in
-    sqrt (mean sq)
-
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty list"
   | x :: xs -> List.fold_left min x xs
@@ -24,7 +16,6 @@ let maximum = function
   | [] -> invalid_arg "Stats.maximum: empty list"
   | x :: xs -> List.fold_left max x xs
 
-let clampf ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
 
 let ceil_div a b =

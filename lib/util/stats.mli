@@ -6,17 +6,11 @@ val mean : float list -> float
 val geomean : float list -> float
 (** Geometric mean of positive values; [0.] on the empty list. *)
 
-val stdev : float list -> float
-(** Population standard deviation; [0.] on lists shorter than 2. *)
-
 val minimum : float list -> float
 (** Smallest element. Raises [Invalid_argument] on the empty list. *)
 
 val maximum : float list -> float
 (** Largest element. Raises [Invalid_argument] on the empty list. *)
-
-val clampf : lo:float -> hi:float -> float -> float
-(** [clampf ~lo ~hi x] limits [x] to the closed interval. *)
 
 val clamp : lo:int -> hi:int -> int -> int
 (** Integer clamp. *)

@@ -217,8 +217,9 @@ let test_fixed_composites () =
 
 (* ---- engine equivalence -----------------------------------------------
 
-   The event-driven scheduler (Sim) against the preserved polling engine
-   (Sim_reference), over the full benchmark suite under both mappings.
+   The event-driven scheduler (Sim, at its default: wake elision on)
+   against the preserved polling engine (Sim_reference), over the full
+   benchmark suite under both mappings.
    No suite application ever blocks an emitter, so the two engines must
    agree *bit-exactly* on everything observable: durations and busy
    times are compared as exact floats, not within a tolerance. Each

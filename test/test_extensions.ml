@@ -190,73 +190,6 @@ let test_rate_search_align_policy () =
   Alcotest.(check bool) "padding sizes differently from trimming" true
     (pad.Rate_search.probes <> (search ()).Rate_search.probes)
 
-(* The ten `bpc list` applications, at the CLI's default 24x18 frame. *)
-let cli_apps : (string * (rate:Rate.t -> App.instance)) list =
-  let frame = Size.v 24 18 and n_frames = 3 in
-  [
-    ( "image-pipeline",
-      fun ~rate -> Apps.Image_pipeline.v ~frame ~rate ~n_frames () );
-    ("bayer", fun ~rate -> Apps.Bayer_app.v ~frame ~rate ~n_frames ());
-    ("histogram", fun ~rate -> Apps.Histogram_app.v ~frame ~rate ~n_frames ());
-    ("multi-conv", fun ~rate -> Apps.Multi_conv.v ~frame ~rate ~n_frames ());
-    ( "parallel-buffer",
-      fun ~rate -> Apps.Parallel_buffer.v ~frame ~rate ~n_frames () );
-    ("edge-detect", fun ~rate -> Apps.Edge_app.v ~frame ~rate ~n_frames ());
-    ( "motion-detect",
-      fun ~rate -> Apps.Motion_app.v ~frame ~rate ~n_frames () );
-    ( "resample",
-      fun ~rate ->
-        Apps.Resample_app.v ~frame:(Size.v 24 1) ~rate ~n_frames () );
-    ( "downsample",
-      fun ~rate -> Apps.Downsample_app.v ~frame ~rate ~n_frames () );
-    ("feedback", fun ~rate -> Apps.Feedback_app.v ~frame ~rate ~n_frames ());
-  ]
-
-(* The sizing prefix against the full compile: the same PE counts under
-   both mapping policies and the same verdict, or the same error. *)
-let test_size_matches_compile () =
-  let compiled = ref 0 and failed = ref 0 in
-  List.iter
-    (fun (machine_name, machine) ->
-      List.iter
-        (fun (app, make) ->
-          List.iter
-            (fun rate_hz ->
-              let graph () = (make ~rate:(Rate.hz rate_hz)).App.graph in
-              let case =
-                Printf.sprintf "%s @ %g Hz on %s" app rate_hz machine_name
-              in
-              match
-                ( Err.guard (fun () -> Pipeline.size ~machine (graph ())),
-                  Err.guard (fun () -> Pipeline.compile ~machine (graph ())) )
-              with
-              | Ok s, Ok plan ->
-                incr compiled;
-                Alcotest.(check (triple int int bool))
-                  case
-                  ( Plan.processors_needed plan ~policy:Plan.One_to_one,
-                    Plan.processors_needed plan ~policy:Plan.Greedy,
-                    plan.Plan.schedulability.Schedulability.schedulable )
-                  ( s.Pipeline.one_to_one_pes,
-                    s.Pipeline.greedy_pes,
-                    s.Pipeline.schedulability.Schedulability.schedulable )
-              | Error e, Error e' ->
-                (* The rendering carries the class and the failing pass. *)
-                incr failed;
-                Alcotest.(check string)
-                  case (Err.to_string e') (Err.to_string e)
-              | Ok _, Error e ->
-                Alcotest.failf "%s: size succeeded, compile failed: %s" case
-                  (Err.to_string e)
-              | Error e, Ok _ ->
-                Alcotest.failf "%s: compile succeeded, size failed: %s" case
-                  (Err.to_string e))
-            [ 1.; 30.; 120.; 500. ])
-        cli_apps)
-    [ ("default", Machine.default); ("small-memory", Machine.small_memory) ];
-  Alcotest.(check bool) "some cases compile" true (!compiled > 0);
-  Alcotest.(check bool) "some cases fail" true (!failed > 0)
-
 (* ---- energy -------------------------------------------------------------- *)
 
 let test_energy_breakdown () =
@@ -378,7 +311,6 @@ let suite =
       test_rate_search_probe_list_pinned;
     Alcotest.test_case "rate search: align policy" `Quick
       test_rate_search_align_policy;
-    Alcotest.test_case "size: matches compile" `Quick test_size_matches_compile;
     Alcotest.test_case "energy: breakdown" `Quick test_energy_breakdown;
     Alcotest.test_case "energy: greedy saves static" `Quick
       test_energy_greedy_saves_static;

@@ -566,7 +566,7 @@ let test_pass_timings () =
   Alcotest.(check (list string)) "passes in order"
     [
       "validate"; "analyze-pre"; "align"; "buffering"; "parallelize";
-      "analyze-post"; "schedulability"; "map"; "schedule";
+      "analyze-post"; "schedulability"; "map";
     ]
     names;
   List.iter
@@ -882,15 +882,13 @@ let test_health_json_valid () =
       (List.mem_assoc "kernel" fields)
   | _ -> Alcotest.fail "bottleneck not an object"
 
-(* The quasi-static telemetry is deterministic across identical runs:
-   the schedule artifact is a pure function of the program, and the
-   engine's elision/reconcile counters are a pure function of the run.
-   Runs are unobserved (no trace/channel/state observers), so wake
-   elision is active. The counters live on [Sim.result] only: the
-   registry carries no [sim.static.*] key, because any observer keeps a
-   run event-driven and would export zeros. Only the schedule pass's
-   presence is asserted for its wall-clock gauge — timings themselves
-   are not deterministic. *)
+(* The elided-wake count is deterministic across identical runs: it is
+   a pure function of the run. Runs are unobserved (no
+   trace/channel/state observers), so wake elision is active. The count
+   lives on [Sim.result] only: the registry carries no [sim.static.*]
+   key, because any observer keeps a run event-driven and would export
+   zero. Only the last pass's presence is asserted for its wall-clock
+   gauge — timings themselves are not deterministic. *)
 let test_static_metrics_deterministic () =
   let run () =
     let plan = compiled_pipeline () in
@@ -903,20 +901,8 @@ let test_static_metrics_deterministic () =
   in
   let m, res1 = run () in
   let _, res2 = run () in
-  let telemetry (r : Sim.result) =
-    ( r.Sim.static_regions,
-      r.Sim.static_fired,
-      r.Sim.static_fallback_events,
-      r.Sim.static_elided_events )
-  in
-  Alcotest.(check bool) "static telemetry identical across runs" true
-    (telemetry res1 = telemetry res2);
-  Alcotest.(check bool) "image pipeline has static regions" true
-    (res1.Sim.static_regions > 0);
-  Alcotest.(check int) "no fallbacks on the image pipeline" 0
-    res1.Sim.static_fallback_events;
-  Alcotest.(check bool) "tables actually matched" true
-    (res1.Sim.static_fired > 0);
+  Alcotest.(check int) "elided wakes identical across runs"
+    res1.Sim.static_elided_events res2.Sim.static_elided_events;
   Alcotest.(check bool) "wakes actually elided" true
     (res1.Sim.static_elided_events > 0);
   Alcotest.(check int) "results identical across runs"
@@ -925,11 +911,10 @@ let test_static_metrics_deterministic () =
     (List.filter
        (fun n -> String.starts_with ~prefix:"sim.static." n)
        (Metrics.names m));
-  match Metrics.gauge m "compile.pass.schedule.wall_s" with
-  | None -> Alcotest.fail "compile.pass.schedule.wall_s gauge missing"
+  match Metrics.gauge m "compile.pass.map.wall_s" with
+  | None -> Alcotest.fail "compile.pass.map.wall_s gauge missing"
   | Some w ->
-    Alcotest.(check bool) "schedule pass wall gauge non-negative" true
-      (w >= 0.)
+    Alcotest.(check bool) "map pass wall gauge non-negative" true (w >= 0.)
 
 (* ---- slot-indexed observers vs the string-keyed reference ------------- *)
 

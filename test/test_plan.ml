@@ -3,7 +3,7 @@
    The guarantees pinned here:
    - every compile yields a complete plan: both mappings realized (or a
      recorded greedy overflow), a schedulability verdict, timings for
-     all nine passes in order;
+     all eight passes in order, the last of them [map];
    - [Plan.placement] anneals on demand, deterministically, and gives
      the placements the retired [place] pass stored;
    - diagnostics are deterministic: two compiles of the same program
@@ -20,7 +20,7 @@ open Harness
 let pass_names =
   [
     "validate"; "analyze-pre"; "align"; "buffering"; "parallelize";
-    "analyze-post"; "schedulability"; "map"; "schedule";
+    "analyze-post"; "schedulability"; "map";
   ]
 
 (* A freshly built instance per compile: behaviour state and sink
