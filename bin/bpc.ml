@@ -266,20 +266,9 @@ let sched_arg =
     & info [ "schedulability" ]
         ~doc:"Print the static per-kernel utilization report.")
 
-let no_elide_arg =
-  Arg.(
-    value & flag
-    & info [ "no-elide" ]
-        ~doc:
-          "Turn wake elision off: dispatch fully event-driven, examining \
-           every end-of-service wake even where the kernels' starvation \
-           oracles prove it would decline. Results are bit-identical — \
-           only wall time and the elided-event count change (see \
-           docs/PERFORMANCE.md).")
-
 let simulate_cmd =
   let run app width height rate frames machine policy greedy trace metrics
-      health gantt energy sched no_elide =
+      health gantt energy sched =
     handle_errors_code @@ fun () ->
     let inst, compiled =
       compile_common app width height rate frames machine policy
@@ -320,7 +309,7 @@ let simulate_cmd =
     let gc_before = Bp_obs.Metrics.gc_snapshot () in
     let wall_t0 = Bp_util.Clock.now_s () in
     let result =
-      Plan.run_plan ~elide:(not no_elide) ?observer
+      Plan.run_plan ?observer
         ?channel_observer:(Option.map Bp_obs.Instrument.channel_observer obs)
         ?state_observer:(Option.map Bp_obs.Health.state_observer hlt)
         ~policy:(policy_of_greedy greedy) compiled ()
@@ -361,8 +350,8 @@ let simulate_cmd =
                 /. float_of_int acquires)
           p.Bp_image.Pool.hits p.Bp_image.Pool.misses p.Bp_image.Pool.live
       | None -> "");
-    (* Elision ran only with the switch on and no observer attached. *)
-    if (not no_elide) && Option.is_none observer && Option.is_none hlt then
+    (* Elision ran exactly when no observer was attached. *)
+    if Option.is_none observer && Option.is_none hlt then
       Format.printf "elision: %d dispatched + %d elided events@."
         (result.Sim.events_processed - result.Sim.static_elided_events)
         result.Sim.static_elided_events;
@@ -424,13 +413,13 @@ let simulate_cmd =
          writes a Chrome trace_event timeline, $(b,--metrics) FILE the \
          structured metrics snapshot, $(b,--health) FILE the real-time \
          health snapshot (all JSON; contracts in docs/OBSERVABILITY.md). \
-         $(b,--no-elide) turns wake elision off and dispatches fully \
-         event-driven (docs/PERFORMANCE.md) — results are bit-identical \
-         either way. Observer-backed artifacts \
-         ($(b,--trace)/$(b,--metrics)/$(b,--health)/$(b,--gantt)) \
-         themselves drop the run to event-driven dispatch, so a bare \
-         $(b,bpc simulate) is also the throughput-measurement \
-         configuration.";
+         A bare run elides provably-declining wakes and prints the \
+         dispatched/elided split on its $(b,elision:) line. \
+         Observer-backed artifacts \
+         ($(b,--trace)/$(b,--metrics)/$(b,--health)/$(b,--gantt)) drop \
+         the run to fully event-driven dispatch (docs/PERFORMANCE.md) \
+         with bit-identical results and no $(b,elision:) line, so a bare \
+         $(b,bpc simulate) is the throughput-measurement configuration.";
     ]
   in
   Cmd.v
@@ -438,12 +427,11 @@ let simulate_cmd =
        ~doc:
          "Compile, simulate, and verify function and throughput (exits \
           non-zero when the run misses the declared rate, deadlocks, or \
-          miscomputes); --trace/--metrics/--health write JSON artifacts, \
-          --no-elide A/Bs wake elision")
+          miscomputes); --trace/--metrics/--health write JSON artifacts")
     Term.(
       const run $ app_arg $ width_arg $ height_arg $ rate_arg $ frames_arg
       $ machine_arg $ policy_arg $ greedy_arg $ trace_arg $ metrics_arg
-      $ health_arg $ gantt_arg $ energy_arg $ sched_arg $ no_elide_arg)
+      $ health_arg $ gantt_arg $ energy_arg $ sched_arg)
 
 let jobs_arg =
   Arg.(
@@ -466,7 +454,7 @@ let sweep_cmd =
             "Suite entries to sweep (default: the full Figure 13 suite; \
              see labels in $(b,bpc report fig13)).")
   in
-  let run labels jobs metrics no_elide =
+  let run labels jobs metrics =
     handle_errors_code @@ fun () ->
     let entries =
       match labels with
@@ -489,7 +477,7 @@ let sweep_cmd =
     in
     let t0 = Bp_util.Clock.now_s () in
     Sweep.with_pool ~domains:jobs @@ fun pool ->
-    let outcomes = Sweep.simulate_jobs ~elide:(not no_elide) pool tasks in
+    let outcomes = Sweep.simulate_jobs pool tasks in
     let wall_s = Bp_util.Clock.elapsed_s ~since:t0 in
     (* The merged table is part of the determinism contract: identical
        for every -j (docs/PARALLELISM.md). Telemetry (wall time, domain
@@ -566,8 +554,7 @@ let sweep_cmd =
          domains — each worker owns its own chunk pool, and results \
          merge back in submission order, so the table is bit-identical \
          for every $(b,-j) (the contract is docs/PARALLELISM.md). Each \
-         run elides provably-declining wakes; $(b,--no-elide) turns \
-         elision off with a bit-identical table (docs/PERFORMANCE.md). \
+         run elides provably-declining wakes (docs/PERFORMANCE.md). \
          $(b,--metrics) FILE exports the per-domain \
          sim.domain.<i>.{tasks,wall_s,steal_count} telemetry as JSON.";
     ]
@@ -576,8 +563,8 @@ let sweep_cmd =
     (Cmd.info "sweep" ~man
        ~doc:
          "Simulate the benchmark suite across worker domains (bit-exact \
-          for every -j and for --no-elide)")
-    Term.(const run $ labels_arg $ jobs_arg $ metrics_arg $ no_elide_arg)
+          for every -j)")
+    Term.(const run $ labels_arg $ jobs_arg $ metrics_arg)
 
 let run_cmd =
   let file_arg =

@@ -22,8 +22,3 @@ let of_window (w : Window.t) =
     reuse_fraction = Window.reuse_fraction w;
     column_reuse_per_fire;
   }
-
-let pp ppf t =
-  Format.fprintf ppf "%d read, %d new, %d reused (%.1f%%)" t.elements_per_fire
-    t.new_per_fire t.reused_per_fire
-    (100. *. t.reuse_fraction)

@@ -16,5 +16,3 @@ type t = {
 }
 
 val of_window : Bp_geometry.Window.t -> t
-
-val pp : Format.formatter -> t -> unit

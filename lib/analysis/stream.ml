@@ -49,9 +49,3 @@ let same_rate streams =
             (Rate.to_string r) (Rate.to_string r'))
       rest;
     Some r
-
-let pp ppf t =
-  Format.fprintf ppf "%a x %.1f/frame over %a %s inset %a" Size.pp t.chunk
-    t.chunks_per_frame Size.pp t.extent
-    (match t.rate with None -> "const" | Some r -> Rate.to_string r)
-    Inset.pp t.inset

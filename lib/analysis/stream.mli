@@ -42,5 +42,3 @@ val same_rate : t list -> Bp_geometry.Rate.t option
 (** The common rate of the non-constant streams. Fails with
     {!Bp_util.Err.Rate_mismatch} when two streams disagree; [None] when all
     streams are constant. *)
-
-val pp : Format.formatter -> t -> unit

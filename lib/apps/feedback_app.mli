@@ -1,11 +1,9 @@
 (** A feedback application (Section III-D extension): a first-order IIR
-    accumulator over the pixel stream, [y(n) = x(n) + k·y(n-1)], closed
+    accumulator over the pixel stream, [y(n) = x(n) + k·y(n-1)] with
+    [k = 0.5], closed
     through a loop-initialization kernel that provides [y(-1)]. The
     recurrence runs across frame boundaries, matching the continuous-stream
     semantics of the loop. *)
-
-val coefficient : float
-(** The feedback gain [k] (0.5). *)
 
 val v :
   ?seed:int ->

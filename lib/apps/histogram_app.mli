@@ -5,8 +5,6 @@
     serial merge (dependency-capped to one instance per frame) reduces
     partials when the histogram is parallelized. *)
 
-val bins : int
-
 val v :
   ?seed:int ->
   frame:Bp_geometry.Size.t ->

@@ -1,7 +1,8 @@
 (** The paper's running example (Figure 1(b)).
 
-    A frame stream is filtered by a 3×3 median and a 5×5 convolution, the
-    per-pixel difference is taken, and a histogram is computed per frame;
+    A frame stream is filtered by a 3×3 median and a 5×5 box-filter
+    convolution, the per-pixel difference is taken, and a 16-bin histogram
+    is computed per frame;
     partial histograms merge serially once per frame (enforced by a
     data-dependency edge from the input). The raw graph contains no buffers,
     insets, splits or joins — the compiler inserts all of them.
@@ -9,12 +10,6 @@
     The golden computation mirrors the chosen alignment policy: under
     [Trim] the median output loses one pixel per side; under [Pad_zero] the
     convolution input is zero-padded by one pixel per side. *)
-
-val bins : int
-(** Histogram bins used by the app (16). *)
-
-val coefficients : Bp_image.Image.t
-(** The 5×5 box-filter coefficients loaded into the convolution. *)
 
 val v :
   ?policy:Bp_transform.Align.policy ->

@@ -8,8 +8,6 @@
     loop. The comparison kernel treats the delayed input as token-free, so
     frame structure flows from the live stream only. *)
 
-val bins : int
-
 val v :
   ?seed:int ->
   frame:Bp_geometry.Size.t ->

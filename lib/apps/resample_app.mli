@@ -1,17 +1,11 @@
 (** Rational sample-rate conversion (extension example).
 
     The classic 1-D DSP expander/filter/decimator cascade over row frames:
-    zero-stuff by L, low-pass with an N-tap FIR, decimate by M. Exercises a
-    block-producing kernel (the expander's 1×L output tiles) feeding a
-    windowed consumer — the compiler inserts a block-fed buffer — plus a
-    downsampling buffer for the decimator, all verified against a
-    whole-row reference. *)
-
-val up_factor : int  (** L = 2 *)
-
-val down_factor : int  (** M = 3 *)
-
-val taps : int  (** 5-tap averaging FIR *)
+    zero-stuff by L = 2, low-pass with a 5-tap averaging FIR, decimate by
+    M = 3. Exercises a block-producing kernel (the expander's 1×L output
+    tiles) feeding a windowed consumer — the compiler inserts a block-fed
+    buffer — plus a downsampling buffer for the decimator, all verified
+    against a whole-row reference. *)
 
 val v :
   ?seed:int ->

@@ -19,8 +19,9 @@ type 'state t = {
 }
 
 let v ?(invariants = []) pass_name run = { pass_name; run; invariants }
-let name p = p.pass_name
 
+(* Same constructor, message prefixed with the pass name, so callers can
+   still match on the error class. *)
 let wrap_err ~pass e =
   let prefix s = Printf.sprintf "pass %s: %s" pass s in
   match (e : Err.t) with
@@ -32,67 +33,62 @@ let wrap_err ~pass e =
   | Err.Not_schedulable s -> Err.Not_schedulable (prefix s)
   | Err.Unsupported s -> Err.Unsupported (prefix s)
 
-let run_all ~graph ~diags ~timings ?after_pass state passes =
+(* The pass barrier: run the body, then every post-invariant, wrapping
+   an escaping error with the name of whichever failed. *)
+let run_checked p state =
+  (match Err.guard (fun () -> p.run state) with
+  | Ok () -> ()
+  | Error e -> Err.fail (wrap_err ~pass:p.pass_name e));
   List.iter
-    (fun p ->
-      let g = graph state in
-      let nodes_before = Graph.size g in
-      let channels_before = List.length (Graph.channels g) in
-      let t0 = Clock.now_s () in
-      let record () =
-        let g = graph state in
-        timings :=
-          !timings
-          @ [
-              {
-                pass = p.pass_name;
-                wall_s = Clock.elapsed_s ~since:t0;
-                nodes_before;
-                nodes_after = Graph.size g;
-                channels_before;
-                channels_after = List.length (Graph.channels g);
-              };
-            ]
-      in
-      (* The pass barrier: run the body, then every post-invariant, inside
-         one timing window. A failure anywhere records the partial timing
-         and an error diagnostic before the (wrapped) error escapes. *)
-      match
-        Err.guard (fun () ->
-            p.run state;
-            List.iter
-              (fun (inv_name, check) ->
-                match Err.guard (fun () -> check state) with
-                | Ok () -> ()
-                | Error e ->
-                  Err.fail
-                    (wrap_err ~pass:(p.pass_name ^ "/" ^ inv_name) e))
-              p.invariants)
-      with
-      | Ok () -> (
-        record ();
-        match after_pass with
-        | Some f -> f ~pass:p.pass_name state
-        | None -> ())
+    (fun (inv_name, check) ->
+      match Err.guard (fun () -> check state) with
+      | Ok () -> ()
+      | Error e -> Err.fail (wrap_err ~pass:(p.pass_name ^ "/" ^ inv_name) e))
+    p.invariants
+
+(* The timing windows tile the call: the first opens at entry, and each
+   later one where the previous closed (or where the caller's
+   [after_pass] hook returned), so the graph counting, the timing
+   record and a failure's diagnostic are charged to a pass instead of
+   falling between two. A pass's "before" counts are the previous
+   pass's "after" counts: nothing but the hook runs in between. *)
+let run_all ~graph ~diags ~timings ?after_pass state passes =
+  let counts () =
+    let g = graph state in
+    (Graph.size g, List.length (Graph.channels g))
+  in
+  let rec go t0 (nodes_before, channels_before) acc = function
+    | [] -> timings := !timings @ List.rev acc
+    | p :: rest ->
+      let outcome = Err.guard (fun () -> run_checked p state) in
+      (match outcome with
+      | Ok () -> ()
       | Error e ->
-        record ();
-        let wrapped =
-          (* Invariant failures arrive already wrapped with
-             "pass <name>/<invariant>"; wrap bare pass-body errors here. *)
-          let already =
-            let prefix = "pass " ^ p.pass_name in
-            let s = Err.to_string e in
-            (* Err.to_string prepends the class; search for the marker. *)
-            let rec contains i =
-              let np = String.length prefix and ns = String.length s in
-              i + np <= ns
-              && (String.sub s i np = prefix || contains (i + 1))
-            in
-            contains 0
-          in
-          if already then e else wrap_err ~pass:p.pass_name e
-        in
         Diag.add diags
-          (Diag.v Diag.Error ~pass:p.pass_name (Err.to_string wrapped));
-        Err.fail wrapped)
-    passes
+          (Diag.v Diag.Error ~pass:p.pass_name (Err.to_string e)));
+      let ((nodes_after, channels_after) as after) = counts () in
+      let t1 = Clock.now_s () in
+      let acc =
+        {
+          pass = p.pass_name;
+          wall_s = t1 -. t0;
+          nodes_before;
+          nodes_after;
+          channels_before;
+          channels_after;
+        }
+        :: acc
+      in
+      (match outcome with
+      | Ok () -> (
+        match after_pass with
+        | None -> go t1 after acc rest
+        | Some f ->
+          f ~pass:p.pass_name state;
+          go (Clock.now_s ()) after acc rest)
+      | Error e ->
+        timings := !timings @ List.rev acc;
+        Err.fail e)
+  in
+  let t0 = Clock.now_s () in
+  go t0 (counts ()) [] passes

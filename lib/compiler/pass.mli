@@ -17,13 +17,19 @@
     body or invariant into an error-severity diagnostic carrying the
     pass's name, and re-raises the error wrapped with that name. [Err]
     therefore only ever crosses the pass barrier: inside the flow,
-    failures are data ({!Bp_util.Diag.t}) first. *)
+    failures are data ({!Bp_util.Diag.t}) first.
+
+    The pass windows tile {!run_all}: the first opens at entry and each
+    later one where the previous closed, so the manager's own
+    bookkeeping (graph counts, timing records, diagnostics) is charged
+    to the passes and the timings add up to the call. Only the
+    caller's [after_pass] hook falls outside every window. *)
 
 type timing = {
   pass : string;  (** Pass name. *)
   wall_s : float;
-      (** Monotonic seconds spent in the pass, invariants included.
-          Never negative, even under clock steps. *)
+      (** Monotonic seconds spent in the pass, invariants and the pass
+          manager's bookkeeping included. Never negative. *)
   nodes_before : int;
   nodes_after : int;
   channels_before : int;
@@ -47,8 +53,6 @@ val v :
   'state t
 (** [v name run] is a pass. [invariants] default to none. *)
 
-val name : _ t -> string
-
 val run_all :
   graph:('state -> Bp_graph.Graph.t) ->
   diags:Bp_util.Diag.buffer ->
@@ -58,18 +62,14 @@ val run_all :
   'state t list ->
   unit
 (** Run the passes in order. [graph] projects the state's graph for the
-    before/after node and channel counts. Timings are appended to
-    [timings] in execution order as each pass completes — including the
-    failing pass, so a crash still leaves a full record. [after_pass]
-    (default: nothing) is called after each successful pass barrier —
-    the [--dump-after] hook.
+    before/after node and channel counts. The timings are appended to
+    [timings] in execution order when [run_all] returns or raises —
+    including the failing pass, so a crash still leaves a full record.
+    [after_pass] (default: nothing) is called after each successful pass
+    barrier — the [--dump-after] hook; it must not change the graph.
 
     On a failure in pass [p] (body or invariant), an error-severity
     diagnostic with [pass = p] is appended to [diags] and the original
     {!Bp_util.Err.Error} is re-raised with its message prefixed
-    ["pass <p>: "] — the error class is preserved so callers can still
-    match on it. *)
-
-val wrap_err : pass:string -> Bp_util.Err.t -> Bp_util.Err.t
-(** The error-wrapping rule: same constructor, message prefixed with the
-    pass name. Exposed for tests. *)
+    ["pass <p>: "] (["pass <p>/<invariant>: "] for an invariant) — the
+    error class is preserved so callers can still match on it. *)

@@ -48,11 +48,10 @@ let processors_needed t ~policy =
 
 let errors t = Diag.errors t.diagnostics
 
-let run_plan ?max_time_s ?max_events ?chunk_pool ?elide ?observer
-    ?channel_observer ?state_observer ~policy t () =
-  Sim.run ?max_time_s ?max_events ?chunk_pool ?observer ?channel_observer
-    ?state_observer ?elide ~graph:t.graph ~mapping:(mapping t ~policy)
-    ~machine:t.machine ()
+let run_plan ?chunk_pool ?observer ?channel_observer ?state_observer ~policy t
+    () =
+  Sim.run ?chunk_pool ?observer ?channel_observer ?state_observer
+    ~graph:t.graph ~mapping:(mapping t ~policy) ~machine:t.machine ()
 
 (* ---- rendering --------------------------------------------------------- *)
 

@@ -82,10 +82,7 @@ val errors : t -> Bp_util.Diag.t list
 (** {1 Executing the plan} *)
 
 val run_plan :
-  ?max_time_s:float ->
-  ?max_events:int ->
   ?chunk_pool:Bp_image.Pool.t ->
-  ?elide:bool ->
   ?observer:
     (time_s:float ->
     proc:int ->
@@ -114,15 +111,15 @@ val run_plan :
   Bp_sim.Sim.result
 (** Simulate the plan under the chosen mapping policy — the plan-driven
     twin of {!Bp_sim.Sim.run}, which it parameterizes entirely from the
-    plan: graph, machine, and the policy's stored mapping. The other
-    options — including the [chunk_pool] lending path of
-    docs/PARALLELISM.md — pass through to {!Bp_sim.Sim.run} unchanged;
-    a run under the NoC delay model of a placement calls
-    {!Bp_sim.Sim.run} with [?placement] directly. [elide] (default
-    [true]) is {!Bp_sim.Sim.run}'s wake-elision switch; [~elide:false]
-    ([bpc simulate --no-elide]) forces fully event-driven dispatch.
-    Results are bit-identical either way — [events_processed] included,
-    elided wakes are counted — except for [static_elided_events]. *)
+    plan: graph, machine, and the policy's stored mapping, with
+    {!Bp_sim.Sim.run}'s default runaway guards. The other options —
+    the [chunk_pool] lending path of docs/PARALLELISM.md and the
+    observers — pass through to {!Bp_sim.Sim.run} unchanged; a run
+    under the NoC delay model of a placement, or with tighter guards,
+    calls {!Bp_sim.Sim.run} directly. As there, an unobserved run elides
+    provably-declining wakes and an observed one dispatches fully
+    event-driven, with bit-identical results — [events_processed]
+    included — except for [static_elided_events]. *)
 
 (** {1 Rendering} *)
 
@@ -132,8 +129,6 @@ val pp_summary : Format.formatter -> t -> unit
 
 val pp_timings : Format.formatter -> t -> unit
 (** The per-pass timing table: wall time and node/channel deltas. *)
-
-val pp_diagnostics : Format.formatter -> t -> unit
 
 val pp_explain : Format.formatter -> t -> unit
 (** The [--explain] view: timings, diagnostics, schedulability verdict,

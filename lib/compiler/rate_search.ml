@@ -47,10 +47,12 @@ let frontier ~lo ~hi ~limit =
   in
   collect [] limit
 
-let search ?(lo_hz = 1.) ?(hi_hz = 1000.) ?(iterations = 12) ?(greedy = true)
-    ?align_policy ?pool ~machine ~max_pes build =
-  if lo_hz <= 0. || hi_hz <= lo_hz then
-    Bp_util.Err.invalidf "rate search needs 0 < lo < hi";
+(* The search window, in Hz. *)
+let lo_hz = 1.
+let hi_hz = 1000.
+
+let search ?(iterations = 12) ?(greedy = true) ?align_policy ?pool ~machine
+    ~max_pes build =
   let slots = match pool with None -> 1 | Some p -> Sweep.domains p in
   let try_rate = try_rate ?align_policy ~machine ~max_pes ~greedy build in
   (* Memoized pure probes, keyed by exact rate: midpoints are computed by

@@ -25,8 +25,6 @@ type result = {
 }
 
 val search :
-  ?lo_hz:float ->
-  ?hi_hz:float ->
   ?iterations:int ->
   ?greedy:bool ->
   ?align_policy:Bp_transform.Align.policy ->
@@ -36,7 +34,7 @@ val search :
   (rate_hz:float -> Bp_graph.Graph.t) ->
   result
 (** [search ~machine ~max_pes build] binary-searches rates in
-    [\[lo_hz, hi_hz\]] (defaults 1–1000 Hz, 12 iterations, greedy mapping).
+    [\[1, 1000\]] Hz (defaults: 12 iterations, greedy mapping).
     A probe fits when {!Pipeline.compile} succeeds, the static check
     passes, and the mapping needs at most [max_pes] processors
     ({!Plan.processors_needed}). Compile failures

@@ -60,14 +60,13 @@ type outcome = {
   o_wall_s : float;
 }
 
-let simulate_jobs ?max_time_s ?elide p jobs =
+let simulate_jobs p jobs =
   map p
     (fun ctx job ->
       let t0 = Bp_util.Clock.now_s () in
       let plan = Pipeline.compile ~machine:job.machine (job.build ()) in
       let result =
-        Plan.run_plan ?max_time_s ~chunk_pool:ctx.chunk_pool ?elide
-          ~policy:job.policy plan ()
+        Plan.run_plan ~chunk_pool:ctx.chunk_pool ~policy:job.policy plan ()
       in
       {
         o_label = job.label;

@@ -85,11 +85,8 @@ type outcome = {
   o_wall_s : float;  (** Compile+simulate wall seconds — telemetry. *)
 }
 
-val simulate_jobs :
-  ?max_time_s:float -> ?elide:bool -> pool -> job list -> outcome list
-(** Compile each job's graph and simulate it under its policy's mapping
-    with the worker's chunk pool lent to the run. Outcomes in job
-    order, bit-identical for every [-j] AND for [elide] on/off —
-    [elide] (default [true]) is {!Bp_sim.Sim.run}'s wake-elision switch
-    ([bpc sweep --no-elide] forces event-driven dispatch; only
-    [static_elided_events] differs). *)
+val simulate_jobs : pool -> job list -> outcome list
+(** Compile each job's graph and simulate it, unobserved and so with
+    wake elision, under its policy's mapping with the worker's chunk
+    pool lent to the run. Outcomes in job order, bit-identical for
+    every [-j]. *)

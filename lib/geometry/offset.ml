@@ -12,7 +12,4 @@ let zero = { ox = 0.; oy = 0. }
 let centered (s : Size.t) =
   v (float_of_int (s.w / 2)) (float_of_int (s.h / 2))
 
-let add a b = { ox = a.ox +. b.ox; oy = a.oy +. b.oy }
-let equal a b = Float.equal a.ox b.ox && Float.equal a.oy b.oy
 let pp ppf o = Format.fprintf ppf "[%.1f,%.1f]" o.ox o.oy
-let to_string o = Format.asprintf "%a" pp o

@@ -19,12 +19,5 @@ val centered : Size.t -> t
     [s]: [floor(w/2), floor(h/2)] — the convention used by the paper's
     convolution kernel. *)
 
-val add : t -> t -> t
-(** Component-wise sum, used when composing kernels along a path. *)
-
-val equal : t -> t -> bool
-
 val pp : Format.formatter -> t -> unit
 (** Prints as ["[ox,oy]"] with one decimal, matching the paper. *)
-
-val to_string : t -> string

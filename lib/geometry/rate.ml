@@ -10,9 +10,6 @@ let hz f =
 let to_hz t = t
 let frame_period_s t = 1. /. t
 let element_period_s t ~frame = 1. /. (t *. float_of_int (Size.area frame))
-let elements_per_s t ~frame = t *. float_of_int (Size.area frame)
-let scale t k = hz (t *. k)
 let equal = Float.equal
-let compare = Float.compare
 let pp ppf t = Format.fprintf ppf "%gHz" t
 let to_string t = Format.asprintf "%a" pp t

@@ -22,13 +22,5 @@ val element_period_s : t -> frame:Size.t -> float
     elements when a [frame]-sized input streams at rate [r]:
     [1 / (r * area frame)]. *)
 
-val elements_per_s : t -> frame:Size.t -> float
-(** Total element throughput of the input. *)
-
-val scale : t -> float -> t
-(** [scale r k] is the rate [k * r]. *)
-
 val equal : t -> t -> bool
-val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -10,9 +10,6 @@ val v : int -> int -> t
 (** [v w h] is the size [w]×[h]. Fails with
     {!Bp_util.Err.Invalid_parameterization} unless both are positive. *)
 
-val square : int -> t
-(** [square n] is [v n n]. *)
-
 val one : t
 (** The 1×1 size. *)
 
@@ -24,10 +21,6 @@ val compare : t -> t -> int
 
 val add : t -> t -> t
 (** Component-wise sum. *)
-
-val sub : t -> t -> t
-(** Component-wise difference; fails if a component would become
-    non-positive. *)
 
 val scale : t -> int -> int -> t
 (** [scale s kx ky] multiplies the components. *)

@@ -10,8 +10,4 @@ let one = { sx = 1; sy = 1 }
 let of_size (s : Size.t) = v s.w s.h
 let equal a b = a.sx = b.sx && a.sy = b.sy
 
-let compare a b =
-  match Int.compare a.sx b.sx with 0 -> Int.compare a.sy b.sy | c -> c
-
 let pp ppf s = Format.fprintf ppf "[%d,%d]" s.sx s.sy
-let to_string s = Format.asprintf "%a" pp s

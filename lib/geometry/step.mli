@@ -20,9 +20,6 @@ val of_size : Size.t -> t
     (step = window size). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints as ["[sx,sy]"], matching the paper's figures. *)
-
-val to_string : t -> string

@@ -34,10 +34,6 @@ let reuse_fraction t =
   let area = float_of_int (Size.area t.size) in
   1. -. (float_of_int (new_elements_per_fire t) /. area)
 
-let equal a b =
-  Size.equal a.size b.size && Step.equal a.step b.step
-  && Offset.equal a.offset b.offset
-
 let pp ppf t =
   Format.fprintf ppf "%a%a@@%a" Size.pp t.size Step.pp t.step Offset.pp
     t.offset

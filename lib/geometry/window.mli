@@ -52,9 +52,5 @@ val reuse_fraction : t -> float
     reused from previous iterations: [1 - new/area]. A 5×5 unit-step window
     reuses 24/25 = 0.96 (Figure 5(b)). *)
 
-val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit
-(** Prints as ["(WxH)[sx,sy]@[ox,oy]"]. *)
-
 val to_string : t -> string
+(** Prints as ["(WxH)[sx,sy]@[ox,oy]"]. *)

@@ -93,25 +93,6 @@ let max_abs_diff a b =
   Array.fold_left max 0.
     (Array.map2 (fun x y -> Float.abs (x -. y)) a.data b.data)
 
-let psnr ?peak reference t =
-  if reference.w <> t.w || reference.h <> t.h then
-    invalid_arg "Image.psnr: extent mismatch";
-  let peak =
-    match peak with
-    | Some p -> p
-    | None ->
-      Float.max 1. (Array.fold_left (fun acc v -> Float.max acc (Float.abs v)) 0. reference.data)
-  in
-  let n = Array.length reference.data in
-  let mse = ref 0. in
-  for i = 0 to n - 1 do
-    let d = reference.data.(i) -. t.data.(i) in
-    mse := !mse +. (d *. d)
-  done;
-  let mse = !mse /. float_of_int n in
-  if mse = 0. then infinity
-  else 10. *. Float.log10 (peak *. peak /. mse)
-
 let pp ppf t =
   Format.fprintf ppf "image %dx%d [%g .. %g]" t.w t.h
     (get t ~x:0 ~y:0)
@@ -120,13 +101,6 @@ let pp ppf t =
 module Gen = struct
   let ramp (s : Size.t) = init s (fun ~x ~y -> float_of_int (x + (y * s.w)))
   let constant s v = init s (fun ~x:_ ~y:_ -> v)
-
-  let checkerboard s a b =
-    init s (fun ~x ~y -> if (x + y) mod 2 = 0 then a else b)
-
-  let gradient (s : Size.t) =
-    init s (fun ~x ~y:_ ->
-        if s.w = 1 then 0. else float_of_int x /. float_of_int (s.w - 1))
 
   let noise rng s amp = init s (fun ~x:_ ~y:_ -> Bp_util.Prng.float rng amp)
 

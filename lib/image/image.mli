@@ -79,11 +79,6 @@ val equal : ?eps:float -> t -> t -> bool
 val max_abs_diff : t -> t -> float
 (** Largest pixel difference; extents must match. *)
 
-val psnr : ?peak:float -> t -> t -> float
-(** Peak signal-to-noise ratio in dB against [peak] (default: the largest
-    magnitude in the reference image, min 1.0). [infinity] for identical
-    images; extents must match. *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints the extent and a few corner pixels (diagnostic only). *)
 
@@ -94,12 +89,6 @@ module Gen : sig
       tracking data movement. *)
 
   val constant : Bp_geometry.Size.t -> float -> t
-
-  val checkerboard : Bp_geometry.Size.t -> float -> float -> t
-  (** Alternating pixels of the two values. *)
-
-  val gradient : Bp_geometry.Size.t -> t
-  (** Horizontal 0..1 gradient. *)
 
   val noise : Bp_util.Prng.t -> Bp_geometry.Size.t -> float -> t
   (** [noise rng s amp] is uniform noise in [\[0, amp)]. *)

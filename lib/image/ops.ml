@@ -146,20 +146,6 @@ let pad_zero img ~left ~right ~top ~bottom =
       if sx >= 0 && sy >= 0 && sx < w && sy < h then Image.get img ~x:sx ~y:sy
       else 0.)
 
-let pad_mirror img ~left ~right ~top ~bottom =
-  let w = Image.width img and h = Image.height img in
-  let reflect n lim =
-    (* reflect across the edge without repeating the border pixel twice when
-       possible; degenerate 1-wide images clamp. *)
-    if lim = 1 then 0
-    else
-      let period = 2 * (lim - 1) in
-      let m = ((n mod period) + period) mod period in
-      if m < lim then m else period - m
-  in
-  pad_with img ~left ~right ~top ~bottom (fun sx sy ->
-      Image.get img ~x:(reflect sx w) ~y:(reflect sy h))
-
 let downsample_extent img ~fx ~fy =
   if fx <= 0 || fy <= 0 then invalid_arg "Ops.downsample: factors positive";
   let w = (Image.width img + fx - 1) / fx in
@@ -237,8 +223,3 @@ let bayer_demosaic raw =
     done
   done;
   (red, green, blue)
-
-let box_blur img ~w ~h =
-  let k = float_of_int (w * h) in
-  let coeffs = Image.Gen.constant (Size.v w h) (1. /. k) in
-  convolve img ~kernel:coeffs

@@ -47,9 +47,6 @@ val trim : Image.t -> left:int -> right:int -> top:int -> bottom:int -> Image.t
 val pad_zero : Image.t -> left:int -> right:int -> top:int -> bottom:int -> Image.t
 (** Grow by zero margins (the pad kernel's behaviour). *)
 
-val pad_mirror : Image.t -> left:int -> right:int -> top:int -> bottom:int -> Image.t
-(** Grow by mirroring edge rows/columns (the paper's alternative repair). *)
-
 val downsample : Image.t -> fx:int -> fy:int -> Image.t
 (** Keep every [fx]-th column and [fy]-th row starting at the origin. *)
 
@@ -67,6 +64,3 @@ val bayer_demosaic : Image.t -> Image.t * Image.t * Image.t
     valid-region (border trimmed by 1) red, green and blue planes. The input
     raw mosaic is interpreted as R at even-x/even-y, B at odd-x/odd-y, G
     elsewhere. *)
-
-val box_blur : Image.t -> w:int -> h:int -> Image.t
-(** Valid-region mean filter (used by the multiple-convolutions test). *)

@@ -96,10 +96,6 @@ let stats (t : t) : stats =
     live = t.hits + t.misses - t.releases;
   }
 
-let hit_rate (t : t) =
-  let total = t.hits + t.misses in
-  if total = 0 then 0. else float_of_int t.hits /. float_of_int total
-
 let check_no_live_leaks t =
   let s = stats t in
   if s.live <> 0 then

@@ -46,9 +46,6 @@ type stats = {
 
 val stats : t -> stats
 
-val hit_rate : t -> float
-(** [hits / (hits + misses)], or [0.] before the first acquire. *)
-
 val check_no_live_leaks : t -> unit
 (** Debug assertion: raises [Invalid_argument] unless [live = 0], i.e.
     every acquired chunk has been released. Only meaningful in controlled

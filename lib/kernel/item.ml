@@ -3,7 +3,6 @@ type t = Data of Bp_image.Image.t | Ctl of Bp_token.Token.t
 let data img = Data img
 let ctl tok = Ctl tok
 let is_data = function Data _ -> true | Ctl _ -> false
-let is_ctl = function Ctl _ -> true | Data _ -> false
 
 let words = function
   | Data img -> Bp_image.Image.width img * Bp_image.Image.height img

@@ -12,7 +12,6 @@ val data : Bp_image.Image.t -> t
 val ctl : Bp_token.Token.t -> t
 
 val is_data : t -> bool
-val is_ctl : t -> bool
 
 val words : t -> int
 (** Transfer cost in words: the chunk area for data, 1 for a token. *)

@@ -28,14 +28,3 @@ let on_token ?(cycles = 1) ?(forward_token = true) ~name ~input ~kind ~outputs
 
 let trigger_inputs t =
   match t.trigger with On_data inputs -> inputs | On_token (i, _) -> [ i ]
-
-let pp ppf t =
-  let trig =
-    match t.trigger with
-    | On_data inputs -> "data(" ^ String.concat "," inputs ^ ")"
-    | On_token (i, k) ->
-      Format.asprintf "token(%s,%a)" i Bp_token.Token.pp_kind k
-  in
-  Format.fprintf ppf "%s <- %s -> [%s] (%d cyc)" t.name trig
-    (String.concat "," t.outputs)
-    t.cycles

@@ -39,5 +39,3 @@ val on_token :
 
 val trigger_inputs : t -> string list
 (** The inputs participating in the trigger. *)
-
-val pp : Format.formatter -> t -> unit

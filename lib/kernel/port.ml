@@ -11,7 +11,3 @@ let find ports name =
   match List.find_opt (fun p -> String.equal p.name name) ports with
   | Some p -> p
   | None -> Err.graphf "no port named %S" name
-
-let pp ppf t =
-  Format.fprintf ppf "%s %a%s" t.name Window.pp t.window
-    (if t.replicated then " (replicated)" else "")

@@ -27,5 +27,3 @@ val buffer_words : t -> int
 val find : t list -> string -> t
 (** [find ports name] looks a port up by name. Fails with
     {!Bp_util.Err.Graph_malformed} when absent. *)
-
-val pp : Format.formatter -> t -> unit

@@ -142,13 +142,6 @@ let memory_words t =
   + List.fold_left (fun acc p -> acc + Port.buffer_words p) 0 t.inputs
   + List.fold_left (fun acc p -> acc + Port.buffer_words p) 0 t.outputs
 
-let cycles_of_method t name = (find_method t name).Method_spec.cycles
-
-let is_data_parallel t =
-  match t.parallelization with
-  | Data_parallel -> true
-  | Serial | Custom _ -> false
-
 let replica_spec t ~replica ~ways =
   match t.parallelization with
   | Data_parallel -> t
@@ -156,14 +149,3 @@ let replica_spec t ~replica ~ways =
   | Serial ->
     Err.unsupportedf "kernel %s is serial and cannot be replicated"
       t.class_name
-let rename t name = { t with class_name = name }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>kernel %s:@,in: %a@,out: %a@,methods: %a@]"
-    t.class_name
-    (Format.pp_print_list Port.pp)
-    t.inputs
-    (Format.pp_print_list Port.pp)
-    t.outputs
-    (Format.pp_print_list Method_spec.pp)
-    t.methods

@@ -94,18 +94,7 @@ val memory_words : t -> int
 (** Total memory footprint: private state plus the implicit double-buffered
     port iteration buffers. *)
 
-val cycles_of_method : t -> string -> int
-
-val is_data_parallel : t -> bool
-(** True for [Data_parallel] policy. *)
-
 val replica_spec : t -> replica:int -> ways:int -> t
 (** The spec to instantiate for one replica: the spec itself for
     [Data_parallel], the custom routine's result for [Custom]. Fails with
     {!Bp_util.Err.Unsupported} for [Serial]. *)
-
-val rename : t -> string -> t
-(** [rename t name] is [t] with a new class name (used when deriving
-    configured variants). *)
-
-val pp : Format.formatter -> t -> unit

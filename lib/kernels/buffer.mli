@@ -42,9 +42,6 @@ val storage : config -> Bp_geometry.Size.t
 
 val storage_words : config -> int
 
-val iterations : config -> Bp_geometry.Size.t
-(** Output windows per frame in X and Y (the consumer's iteration space). *)
-
 val spec : ?class_name:string -> config -> Bp_kernel.Spec.t
 (** Builds the kernel: input ["in"], output ["out"]. The class name defaults
     to the paper's label style,

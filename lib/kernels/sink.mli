@@ -14,21 +14,13 @@ type collector
 val collector : unit -> collector
 (** A fresh, empty collector. *)
 
-val reset : collector -> unit
-
 val chunks : collector -> Bp_image.Image.t list
 (** All data chunks in arrival order. *)
-
-val tokens : collector -> Bp_token.Token.t list
-(** All control tokens in arrival order. *)
 
 val chunks_between_frames : collector -> Bp_image.Image.t list list
 (** The recorded chunks grouped by frame: the end-of-frame tokens the sink
     received act as separators. A trailing group of chunks after the last
     EOF is included only when non-empty. *)
-
-val eof_count : collector -> int
-(** Number of end-of-frame tokens received. *)
 
 val spec :
   ?class_name:string ->

@@ -24,10 +24,3 @@ val spec :
 val const :
   ?class_name:string -> chunk:Bp_image.Image.t -> unit -> Bp_kernel.Spec.t
 (** [const ~chunk ()] is a constant source emitting [chunk] once. *)
-
-val emission_burst : int
-(** The worst-case items one emission pushes (pixel + end-of-line +
-    end-of-frame at a frame corner). A source only fires with this much
-    space on its output, and declares the same bound as
-    [Spec.emission_burst] so the simulator's blocked-vs-exhausted test is
-    exact rather than a duplicated magic number. *)

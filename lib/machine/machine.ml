@@ -72,10 +72,3 @@ let by_name = function
   | "fast-pe" -> fast_pe
   | other -> Err.unsupportedf "unknown machine %S (expected %s)" other
                (String.concat "/" names)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "machine: %d PEs @ %g Hz, %d words, r/w %.2f/%.2f cyc/word, target %g%%"
-    t.max_pes t.pe.freq_hz t.pe.mem_words t.pe.read_cycles_per_word
-    t.pe.write_cycles_per_word
-    (100. *. t.target_utilization)

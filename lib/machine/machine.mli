@@ -79,5 +79,3 @@ val by_name : string -> t
     {!Bp_util.Err.Unsupported} otherwise. *)
 
 val names : string list
-
-val pp : Format.formatter -> t -> unit

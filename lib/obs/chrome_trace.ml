@@ -159,8 +159,7 @@ let pass_events passes =
   in
   List.rev rev
 
-let of_run ?(process_name = "bp-sim") ?compile_passes ?instrument ?health
-    ~graph ~trace () =
+let of_run ?compile_passes ?instrument ?health ~graph ~trace () =
   let firings = Trace.firings trace in
   let procs =
     List.fold_left (fun acc (f : Trace.firing) -> max acc f.Trace.proc) (-1)
@@ -176,7 +175,7 @@ let of_run ?(process_name = "bp-sim") ?compile_passes ?instrument ?health
         |> List.sort_uniq compare
   in
   let meta =
-    metadata ~pid:sim_pid ~name:"process_name" ~value:process_name ()
+    metadata ~pid:sim_pid ~name:"process_name" ~value:"bp-sim" ()
     :: List.concat
          [
            List.init (procs + 1) (fun p ->

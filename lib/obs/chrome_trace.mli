@@ -17,7 +17,6 @@
     is documented in docs/OBSERVABILITY.md. *)
 
 val of_run :
-  ?process_name:string ->
   ?compile_passes:Bp_compiler.Pipeline.pass_timing list ->
   ?instrument:Instrument.t ->
   ?health:Health.t ->
@@ -26,8 +25,8 @@ val of_run :
   unit ->
   Json.t
 (** The trace document: [{"traceEvents": [...], "displayTimeUnit": "ms"}]
-    with events sorted by timestamp (metadata first). [process_name]
-    defaults to ["bp-sim"]. *)
+    with events sorted by timestamp (metadata first). The simulation's
+    process is named ["bp-sim"]. *)
 
 val write_file : path:string -> Json.t -> unit
 (** Alias of {!Json.write_file}, so callers need only this module. *)

@@ -200,7 +200,11 @@ let merged_births (result : Sim.result) =
     result.Sim.source_frame_births;
   births
 
-let sink_frame_list births ~period_s ~tolerance eofs =
+(* Frame deadlines stretch as far past the period as
+   {!Bp_sim.Sim.real_time_verdict} lets frame intervals stretch. *)
+let deadline_tolerance = 0.05
+
+let sink_frame_list births ~period_s eofs =
   let t0 = match eofs with [] -> 0. | t :: _ -> t in
   List.mapi
     (fun k arrival ->
@@ -208,7 +212,9 @@ let sink_frame_list births ~period_s ~tolerance eofs =
         let deadline =
           match period_s with
           | None -> None
-          | Some p -> Some (t0 +. (float_of_int k *. p *. (1. +. tolerance)))
+          | Some p ->
+            Some
+              (t0 +. (float_of_int k *. p *. (1. +. deadline_tolerance)))
         in
         let missed =
           match deadline with None -> false | Some d -> arrival > d
@@ -226,13 +232,11 @@ let sink_frame_list births ~period_s ~tolerance eofs =
     eofs
   |> List.filter_map Fun.id
 
-let finalize t ~(result : Sim.result) ?period_s ?(tolerance = 0.05) () =
+let finalize t ~(result : Sim.result) () =
   if t.finalized then invalid_arg "Health.finalize: already finalized";
   t.finalized <- true;
   t.duration_s <- result.Sim.duration_s;
-  let period_s =
-    match period_s with Some _ -> period_s | None -> declared_period t.graph
-  in
+  let period_s = declared_period t.graph in
   t.period_s <- period_s;
   Metrics.set t.m "sim.duration_s" t.duration_s;
   (* Close every kernel's open interval at the end of the run and derive
@@ -271,7 +275,7 @@ let finalize t ~(result : Sim.result) ?period_s ?(tolerance = 0.05) () =
       result.Sim.sink_eofs
     |> List.map (fun (sink_id, eofs) ->
            let sf_node = Graph.node t.graph sink_id in
-           let frames = sink_frame_list births ~period_s ~tolerance eofs in
+           let frames = sink_frame_list births ~period_s eofs in
            let name = sf_node.Graph.name in
            List.iter
              (fun f ->

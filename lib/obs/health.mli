@@ -51,17 +51,15 @@ val state_observer :
     {!create}. Off-chip nodes are ignored; a node id that graph does not
     have raises [Invalid_argument]. *)
 
-val finalize : t -> result:Bp_sim.Sim.result -> ?period_s:float ->
-  ?tolerance:float -> unit -> unit
+val finalize : t -> result:Bp_sim.Sim.result -> unit -> unit
 (** Close every kernel's open interval at [result.duration_s], join frame
     births to sink end-of-frame arrivals, and derive the metrics snapshot.
     Deadlines are anchored at each sink's first end-of-frame arrival
-    [t0]: frame [k]'s deadline is [t0 + k·period·(1+tolerance)]
-    (tolerance defaults to 5%, matching {!Bp_sim.Sim.real_time_verdict}).
-    [period_s] defaults to the declared frame period of the graph's first
-    timed source; with no timed source and no override, deadline
-    accounting is skipped (latencies are still recorded). Call exactly
-    once, after {!Bp_sim.Sim.run} returns. *)
+    [t0]: frame [k]'s deadline is [t0 + k·period·1.05], the 5% slack of
+    {!Bp_sim.Sim.real_time_verdict}, where [period] is the declared frame
+    period of the graph's first timed source; with no timed source,
+    deadline accounting is skipped (latencies are still recorded). Call
+    exactly once, after {!Bp_sim.Sim.run} returns. *)
 
 (** {1 Reading} *)
 

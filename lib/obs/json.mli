@@ -21,8 +21,6 @@ type t =
 val float : float -> t
 (** [Float f], except non-finite values map to [Null]. *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val to_string : t -> string
 (** Compact (single-line) rendering. *)
 

@@ -170,13 +170,6 @@ let record_gc t ?(prefix = "") ~before ~after () =
     ~by:(after.gc_major_collections - before.gc_major_collections)
     (n "gc.major_collections")
 
-let record_gc_around t ?prefix f =
-  let before = gc_snapshot () in
-  let result = f () in
-  let after = gc_snapshot () in
-  record_gc t ?prefix ~before ~after ();
-  result
-
 let record_pool t ?(prefix = "") ~hits ~misses ~releases ~live () =
   let n s = prefix ^ s in
   incr t ~by:hits (n "pool.hits");

@@ -106,10 +106,6 @@ val record_gc :
     [gc.major_collections]. [prefix] is prepended verbatim to every
     name. *)
 
-val record_gc_around : t -> ?prefix:string -> (unit -> 'a) -> 'a
-(** [record_gc_around t f] runs [f] between two {!gc_snapshot}s and
-    {!record_gc}s the deltas. *)
-
 val record_pool :
   t ->
   ?prefix:string ->

@@ -10,22 +10,12 @@ type placement = {
   cost : float;
 }
 
-type options = {
-  seed : int;
-  initial_temperature : float;
-  cooling : float;
-  sweeps : int;
-  moves_per_sweep : int;
-}
-
-let default_options =
-  {
-    seed = 1;
-    initial_temperature = 100.;
-    cooling = 0.92;
-    sweeps = 60;
-    moves_per_sweep = 200;
-  }
+(* The annealing schedule (see placement.mli). *)
+let anneal_seed = 1
+let initial_temperature = 100.
+let cooling = 0.92
+let sweeps = 60
+let moves_per_sweep = 200
 
 let mesh_side_for procs =
   let rec search side = if side * side >= procs then side else search (side + 1) in
@@ -84,10 +74,10 @@ let random_placement ~seed an mapping =
     cost = communication_cost an mapping tile_of;
   }
 
-let place ?(options = default_options) an mapping =
+let place an mapping =
   let procs = Mapping.processors mapping in
   let side = mesh_side_for procs in
-  let rng = Prng.create options.seed in
+  let rng = Prng.create anneal_seed in
   let tiles = tiles_array procs side rng in
   let tr = traffic an mapping in
   (* Pre-index traffic per processor for incremental cost evaluation. *)
@@ -107,7 +97,7 @@ let place ?(options = default_options) an mapping =
       0. touching.(p)
   in
   let cost = ref (cost_of_tiles tr tile_of) in
-  let temp = ref options.initial_temperature in
+  let temp = ref initial_temperature in
   (* Candidate moves swap two processors' tiles (or move one processor to a
      free tile when the mesh is larger than the processor count). *)
   let free_tiles =
@@ -120,8 +110,8 @@ let place ?(options = default_options) an mapping =
     done;
     Array.of_list !free
   in
-  for _sweep = 1 to options.sweeps do
-    for _move = 1 to options.moves_per_sweep do
+  for _sweep = 1 to sweeps do
+    for _move = 1 to moves_per_sweep do
       if procs >= 2 then begin
         let use_free =
           Array.length free_tiles > 0 && Prng.bool rng
@@ -158,7 +148,7 @@ let place ?(options = default_options) an mapping =
         end
       end
     done;
-    temp := !temp *. options.cooling
+    temp := !temp *. cooling
   done;
   (* Recompute exactly to wash out float drift from incremental updates. *)
   let final = cost_of_tiles tr tile_of in
@@ -168,7 +158,3 @@ let place ?(options = default_options) an mapping =
   if not (final >= 0.) then
     Err.graphf "placement cost is not a non-negative number";
   { mesh_side = side; tile_of; cost = final }
-
-let pp ppf t =
-  Format.fprintf ppf "placement on %dx%d mesh, cost %.0f word-hops/frame"
-    t.mesh_side t.mesh_side t.cost

@@ -18,16 +18,6 @@ type placement = {
   cost : float;  (** Total weighted Manhattan communication cost. *)
 }
 
-type options = {
-  seed : int;
-  initial_temperature : float;
-  cooling : float;  (** Geometric cooling factor per sweep, in (0,1). *)
-  sweeps : int;  (** Number of temperature steps. *)
-  moves_per_sweep : int;
-}
-
-val default_options : options
-
 val communication_cost :
   Bp_analysis.Dataflow.t -> Bp_sim.Mapping.t -> (int -> int * int) -> float
 (** [communication_cost an mapping tile_of] is the words-per-frame-weighted
@@ -35,20 +25,15 @@ val communication_cost :
     distinct processors. Channels to or from off-chip nodes cost the
     distance to tile (0,0). *)
 
-val place :
-  ?options:options ->
-  Bp_analysis.Dataflow.t ->
-  Bp_sim.Mapping.t ->
-  placement
-(** Anneal a placement for the mapping's processors. The mesh side is the
-    smallest square that fits them. Postcondition, checked before
-    returning: the mesh holds every processor and the cost is a
-    non-negative number; a violation raises
+val place : Bp_analysis.Dataflow.t -> Bp_sim.Mapping.t -> placement
+(** Anneal a placement for the mapping's processors: seed 1, 60
+    geometric cooling steps of 200 moves each from temperature 100, by a
+    factor of 0.92. The mesh side is the smallest square that fits them.
+    Postcondition, checked before returning: the mesh holds every
+    processor and the cost is a non-negative number; a violation raises
     {!Bp_util.Err.Graph_malformed}. *)
 
 val random_placement :
   seed:int -> Bp_analysis.Dataflow.t -> Bp_sim.Mapping.t -> placement
 (** A uniformly random placement (the annealer's starting point), useful as
     a baseline in the ablation bench. *)
-
-val pp : Format.formatter -> placement -> unit

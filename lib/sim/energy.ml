@@ -1,33 +1,20 @@
 module Machine = Bp_machine.Machine
 
-type model = {
-  pj_per_cycle : float;
-  pj_per_word : float;
-  mw_static_per_pe : float;
-  pj_per_word_hop : float;
-}
-
-let default_model =
-  {
-    pj_per_cycle = 10.;
-    pj_per_word = 5.;
-    mw_static_per_pe = 0.5;
-    pj_per_word_hop = 2.;
-  }
+(* The price list (see energy.mli). *)
+let pj_per_cycle = 10.
+let pj_per_word = 5.
+let mw_static_per_pe = 0.5
 
 type breakdown = {
   compute_uj : float;
   channel_uj : float;
   static_uj : float;
-  network_uj : float;
   total_uj : float;
   pes : int;
   duration_s : float;
 }
 
-let of_result ?(model = default_model)
-    ?(placement_cost_word_hops_per_frame = 0.) ?(frames = 0) ~machine
-    (r : Sim.result) =
+let of_result ~machine (r : Sim.result) =
   let pe = machine.Machine.pe in
   let freq = pe.Machine.freq_hz in
   let pj_to_uj v = v *. 1e-6 in
@@ -50,23 +37,17 @@ let of_result ?(model = default_model)
       0. r.Sim.procs
   in
   let pes = Array.length r.Sim.procs in
-  let compute_uj = pj_to_uj (cycles *. model.pj_per_cycle) in
-  let channel_uj = pj_to_uj (words *. model.pj_per_word) in
+  let compute_uj = pj_to_uj (cycles *. pj_per_cycle) in
+  let channel_uj = pj_to_uj (words *. pj_per_word) in
   let static_uj =
     (* mW * s = mJ = 1000 uJ *)
-    model.mw_static_per_pe *. float_of_int pes *. r.Sim.duration_s *. 1000.
-  in
-  let network_uj =
-    pj_to_uj
-      (placement_cost_word_hops_per_frame *. float_of_int frames
-      *. model.pj_per_word_hop)
+    mw_static_per_pe *. float_of_int pes *. r.Sim.duration_s *. 1000.
   in
   {
     compute_uj;
     channel_uj;
     static_uj;
-    network_uj;
-    total_uj = compute_uj +. channel_uj +. static_uj +. network_uj;
+    total_uj = compute_uj +. channel_uj +. static_uj;
     pes;
     duration_s = r.Sim.duration_s;
   }
@@ -74,5 +55,5 @@ let of_result ?(model = default_model)
 let pp ppf b =
   Format.fprintf ppf
     "energy: %.2f uJ total (compute %.2f, channels %.2f, static %.2f on %d \
-     PEs, network %.2f)"
-    b.total_uj b.compute_uj b.channel_uj b.static_uj b.pes b.network_uj
+     PEs)"
+    b.total_uj b.compute_uj b.channel_uj b.static_uj b.pes

@@ -4,44 +4,24 @@
     ("increasing the number of kernels beyond what is required ... may allow
     a more optimal placement, resulting in a lower overall energy
     consumption", Section IV-D). This module derives an energy estimate from
-    a simulation result: active energy per compute cycle and per channel
-    word, static (leakage/idle) power per powered processor, and — when a
-    placement is supplied — network energy per word-hop. It makes the
-    1:1-vs-greedy trade quantitative: fewer processors means less static
-    power for the same active work. *)
-
-type model = {
-  pj_per_cycle : float;  (** Active energy per compute cycle. *)
-  pj_per_word : float;  (** Channel read or write, per word. *)
-  mw_static_per_pe : float;  (** Static power per powered-on PE. *)
-  pj_per_word_hop : float;  (** NoC energy per word per mesh hop. *)
-}
-
-val default_model : model
-(** 10 pJ/cycle, 5 pJ/word, 0.5 mW static per PE, 2 pJ/word-hop —
-    representative embedded-class constants; all results are ratios, so
-    absolute values only set the scale. *)
+    a simulation result: active energy per compute cycle (10 pJ) and per
+    channel word (5 pJ), and static (leakage/idle) power per powered
+    processor (0.5 mW) — representative embedded-class constants; all
+    results are ratios, so absolute values only set the scale. It makes
+    the 1:1-vs-greedy trade quantitative: fewer processors means less
+    static power for the same active work. *)
 
 type breakdown = {
   compute_uj : float;
   channel_uj : float;
   static_uj : float;
-  network_uj : float;  (** 0 unless a placement is supplied. *)
   total_uj : float;
   pes : int;
   duration_s : float;
 }
 
-val of_result :
-  ?model:model ->
-  ?placement_cost_word_hops_per_frame:float ->
-  ?frames:int ->
-  machine:Bp_machine.Machine.t ->
-  Sim.result ->
-  breakdown
+val of_result : machine:Bp_machine.Machine.t -> Sim.result -> breakdown
 (** [of_result ~machine result] reconstructs cycles and words from the
-    per-processor run/read/write times and prices them. Supplying the
-    annealer's communication cost (word-hops per frame) and the frame count
-    adds the network term. *)
+    per-processor run/read/write times and prices them. *)
 
 val pp : Format.formatter -> breakdown -> unit

@@ -111,5 +111,3 @@ let pop t =
   else
     let time = t.times.(0) in
     Some (time, pop_value_exn t)
-
-let peek_time t = if t.size = 0 then None else Some t.times.(0)

@@ -43,5 +43,3 @@ val pop_value_exn : 'a t -> 'a
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event with its time. Allocates; the
     hot loop uses {!front_time_exn} + {!pop_value_exn} instead. *)
-
-val peek_time : 'a t -> float option

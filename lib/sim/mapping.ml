@@ -45,11 +45,3 @@ let one_to_one g =
 let processors t = Array.length t.groups
 let nodes_on t proc = t.groups.(proc)
 let processor_of t id = Hashtbl.find_opt t.proc_of id
-
-let pp g ppf t =
-  Array.iteri
-    (fun proc ids ->
-      Format.fprintf ppf "PE%-3d: %s@," proc
-        (String.concat ", "
-           (List.map (fun id -> (Graph.node g id).Graph.name) ids)))
-    t.groups

@@ -27,5 +27,3 @@ val processor_of : t -> Bp_graph.Graph.node_id -> int option
 
 val is_on_chip : Bp_graph.Graph.node -> bool
 (** False for sources, constant sources and sinks. *)
-
-val pp : Bp_graph.Graph.t -> Format.formatter -> t -> unit

@@ -9,7 +9,6 @@ let create ~capacity ~dummy =
   if capacity < 1 then invalid_arg "Ring.create: capacity must be positive";
   { data = Array.make capacity dummy; dummy; head = 0; len = 0 }
 
-let capacity t = Array.length t.data
 let length t = t.len
 let is_empty t = t.len = 0
 let is_full t = t.len = Array.length t.data
@@ -36,5 +35,3 @@ let pop t =
   t.head <- wrap t (t.head + 1);
   t.len <- t.len - 1;
   v
-
-let to_list t = List.init t.len (fun i -> t.data.(wrap t (t.head + i)))

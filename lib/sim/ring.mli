@@ -18,7 +18,6 @@ val create : capacity:int -> dummy:'a -> 'a t
 (** A ring holding at most [capacity] elements. [dummy] fills empty
     slots; it is never returned. Raises if [capacity < 1]. *)
 
-val capacity : 'a t -> int
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val is_full : 'a t -> bool
@@ -34,6 +33,3 @@ val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a
 (** Consume the front element and clear its slot. Raises if empty. *)
-
-val to_list : 'a t -> 'a list
-(** Front-to-back contents (diagnostics and tests; allocates). *)

@@ -166,22 +166,20 @@ let find_port what (rt : node_rt) (a : (string * 'a) array) port =
 (* ---- main engine ------------------------------------------------------ *)
 
 let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
-    ?placement ?observer ?channel_observer ?state_observer
-    ?(elide = true) ~graph:g ~mapping ~machine () =
+    ?placement ?observer ?channel_observer ?state_observer ~graph:g ~mapping
+    ~machine () =
   Graph.validate g;
   let pe = machine.Machine.pe in
-  (* Quasi-static mode (wake elision): active only when [elide] is on AND
-     no observer is installed. The elided examinations are exactly ones
-     that would decline (the [starved] oracle contract), so simulated
-     outcomes are bit-identical — but observers report *examinations*
-     (state intervals, per-attempt block events), which elision would
-     thin out. With any observer present the engine stays fully
-     event-driven. *)
+  (* Quasi-static mode (wake elision): active exactly when no observer is
+     installed. The elided examinations are exactly ones that would
+     decline (the [starved] oracle contract), so simulated outcomes are
+     bit-identical — but observers report *examinations* (state
+     intervals, per-attempt block events), which elision would thin out.
+     With any observer present the engine stays fully event-driven. *)
   let static_mode =
-    elide
-    && (not (Option.is_some observer))
-    && (not (Option.is_some channel_observer))
-    && not (Option.is_some state_observer)
+    Option.is_none observer
+    && Option.is_none channel_observer
+    && Option.is_none state_observer
   in
   (* Current simulated time, in a one-slot float array so stores stay
      unboxed (a [float ref] boxes on every [:=] without flambda). *)
@@ -840,7 +838,8 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
   in
   (* Main loop. The front time is read before the pop so a discarded
      over-limit event never disturbs the queue, and neither step
-     allocates (see {!Heap}). *)
+     allocates (see {!Heap}). The event cap counts elided wakes too, so
+     it cuts a run at the same event count whether or not it elides. *)
   let processed = ref 0 in
   let timed_out = ref false in
   let continue = ref true in
@@ -849,7 +848,8 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     else begin
       let time = Heap.front_time_exn events in
       incr processed;
-      if time > max_time_s || !processed > max_events then begin
+      if time > max_time_s || !processed + !static_elided > max_events then
+      begin
         timed_out := true;
         continue := false
       end
@@ -890,11 +890,15 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
   (* Quasi-static quiescence: the last events of an eager run are the
      trailing [Proc_free]s, whose times set [duration_s]. When those were
      elided, restore the clock to the latest busy end so the reported
-     duration is bit-identical to the eager engine's. *)
-  if static_mode && not !timed_out then
-    for p = 0 to nprocs - 1 do
-      if p_busy_until.(p) > now.(0) then now.(0) <- p_busy_until.(p)
-    done;
+     duration is bit-identical to the eager engine's — unless the eager
+     engine would have been cut by one of those trailing wakes: past
+     [max_time_s], or beyond [max_events] once the elided wakes count. *)
+  if static_mode && not !timed_out then begin
+    let last = Array.fold_left Float.max now.(0) p_busy_until in
+    if last > max_time_s || !processed + !static_elided > max_events then
+      timed_out := true
+    else now.(0) <- last
+  end;
   (* Close out busy intervals whose service end passed without another
      examination, so every kernel's intervals reach a settled state. *)
   if state_observing then
@@ -956,8 +960,11 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?chunk_pool
     leftover_items;
     (* Elided wakes count as processed: each is one eager-engine decline
        skipped wholesale, so the total matches event-driven mode exactly
-       and throughput normalizes without a second run. *)
-    events_processed = !processed + !static_elided;
+       and throughput normalizes without a second run. A cut run reports
+       what the eager engine would: the cap plus the event that hit it. *)
+    events_processed =
+      (let n = !processed + !static_elided in
+       if n > max_events then max_events + 1 else n);
     timed_out = !timed_out;
     static_fired = 0;
     static_indexed_fired = 0;
@@ -1012,8 +1019,10 @@ type verdict = {
   worst_frame_interval_s : float;
 }
 
-let real_time_verdict r ~expected_frames ~period_s ?(tolerance = 0.05)
-    ?(allowed_leftover = 0) () =
+(* Steady-state frame intervals may stretch this far past the period. *)
+let interval_tolerance = 0.05
+
+let real_time_verdict r ~expected_frames ~period_s ?(allowed_leftover = 0) () =
   let all_intervals =
     List.concat_map
       (fun (_, times) ->
@@ -1038,7 +1047,8 @@ let real_time_verdict r ~expected_frames ~period_s ?(tolerance = 0.05)
     && r.leftover_items <= allowed_leftover
     && (not r.timed_out)
     && frames_delivered >= expected_frames
-    && (all_intervals = [] || worst_i <= period_s *. (1. +. tolerance))
+    && (all_intervals = []
+       || worst_i <= period_s *. (1. +. interval_tolerance))
   in
   {
     met;

@@ -13,8 +13,8 @@
     a push, pop, or processor release re-examines only the parties it may
     have unblocked, instead of rescanning every processor to a fixpoint
     after each event. Because kernel [try_step]s are failure-pure, the
-    skipped scans are ones that would deterministically decline. By
-    default ({!run}'s [elide]) the engine also elides end-of-service
+    skipped scans are ones that would deterministically decline. When
+    no observer is attached, the engine also elides end-of-service
     wakes that its kernels' [starved] oracles prove would decline. The
     original full-rescan engine is preserved in {!Sim_reference}, and a
     suite-wide differential test keeps the two in exact agreement on
@@ -89,8 +89,9 @@ type result = {
           the denominator of the events-per-second throughput the
           benchmark tracks. Wake elision dispatches fewer (it skips
           provably-declining wakes wholesale) but counts each elided
-          wake here, so the field is bit-identical with elision on and
-          off; the skipped share is [static_elided_events]. *)
+          wake here, so the field is bit-identical between an observed
+          and an unobserved run; the skipped share is
+          [static_elided_events]. At most [max_events + 1] (see {!run}). *)
   timed_out : bool;
   pool : Bp_image.Pool.stats option;
       (** Chunk-pool counters for the run's data plane ([None] when the
@@ -113,8 +114,9 @@ type result = {
   static_elided_events : int;
       (** End-of-service wakes elided for good by wake elision: each is
           exactly one event-driven dispatch that would have declined.
-          Included in [events_processed]; 0 when elision was off. Read
-          by [bpbench/bp_bench.ml:313–314], so the name stays. *)
+          Included in [events_processed]; 0 under observation, which
+          keeps the engine event-driven. Read by
+          [bpbench/bp_bench.ml:313–314], so the name stays. *)
 }
 
 type placement_model = {
@@ -188,7 +190,6 @@ val run :
     state:kernel_state ->
     chan:int option ->
     unit) ->
-  ?elide:bool ->
   graph:Bp_graph.Graph.t ->
   mapping:Mapping.t ->
   machine:Bp_machine.Machine.t ->
@@ -196,21 +197,29 @@ val run :
   result
 (** Simulate until quiescent. [max_time_s] (default 300 simulated seconds)
     and [max_events] (default 50 million) bound runaway graphs; hitting
-    either sets [timed_out]. The data plane runs through a per-run chunk
-    pool ({!Bp_image.Pool}): behaviours acquire output chunks and release
-    consumed inputs, so steady state recycles a fixed working set
-    instead of allocating per firing. The allocation-naive oracle is
-    {!Sim_reference}. [chunk_pool] lends an existing pool instead of
-    creating one: the per-domain reuse path of docs/PARALLELISM.md,
-    where a sweep worker owns one pool and threads it through every run
-    it executes, keeping free lists warm across runs. The lender keeps
-    ownership; [result.pool] then reports this run's {e deltas} (its
+    either sets [timed_out]. They stay options, though no program passes
+    them, because they are the engine's runaway guards and tests reach
+    the cut path cheaply only by lowering them. [max_events] counts
+    elided wakes too, so a run is cut at the same event count, and
+    reports [timed_out] alike, with and without an observer.
+
+    The data plane runs through a per-run chunk pool ({!Bp_image.Pool}):
+    behaviours acquire output chunks and release consumed inputs, so
+    steady state recycles a fixed working set instead of allocating per
+    firing. The allocation-naive oracle is {!Sim_reference}.
+    [chunk_pool] lends an existing pool instead of creating one: the
+    per-domain reuse path of docs/PARALLELISM.md, where a sweep worker
+    owns one pool and threads it through every run it executes, keeping
+    free lists warm across runs. The lender keeps ownership;
+    [result.pool] then reports this run's {e deltas} (its
     hit/miss/release contribution), and simulated outcomes remain
     bit-identical either way — acquired buffers are always all-zero. A
     pool must never be lent to two concurrently running simulations
-    ({!Bp_image.Pool} is not domain-safe; one owner domain at a time). [observer] is invoked for every on-chip kernel
-    firing with its start time, processor, and service time — the hook the
-    {!Trace} module records through. [channel_observer] is invoked on every
+    ({!Bp_image.Pool} is not domain-safe; one owner domain at a time).
+
+    [observer] is invoked for every on-chip kernel firing with its start
+    time, processor, and service time — the hook the {!Trace} module
+    records through. [channel_observer] is invoked on every
     channel push/pop/full-guard event with the acting node, its processor
     ([None] for off-chip sources and sinks), and the queue depth *after*
     the event — the hook [Bp_obs.Instrument] feeds metrics and occupancy
@@ -224,22 +233,19 @@ val run :
     [result] is identical with and without them (asserted in
     [test/test_obs.ml]).
 
-    [elide] (default [true]) is the wake-elision switch. When it is on
-    and no observer is installed, a processor whose kernels' [starved]
-    oracles all prove the next attempt would decline at fire time
-    elides its end-of-service wake event (restored, at the exact time
-    and heap rank of the event-driven push, by the first adjacent
-    channel change that breaks the proof). Every firing still goes
-    through [try_step]; elision removes only examinations that would
-    deterministically decline, so every simulated outcome — floats
-    included, [events_processed] included (elided wakes count as
-    processed) — is bit-identical to [~elide:false]; only
-    [static_elided_events] differs. The one exception is a run that
-    [max_events] cuts: the cap counts dispatched events only, so it
-    cuts an elided run later. With any observer installed the
-    engine stays fully event-driven whatever [elide] says, because
-    observers report examinations themselves. [~elide:false]
-    ([bpc simulate --no-elide]) is the A/B baseline. See
+    Wake elision runs exactly when no observer is installed: a
+    processor whose kernels' [starved] oracles all prove the next
+    attempt would decline at fire time elides its end-of-service wake
+    event (restored, at the exact time and heap rank of the
+    event-driven push, by the first adjacent channel change that breaks
+    the proof). Every firing still goes through [try_step]; elision
+    removes only examinations that would deterministically decline, so
+    every simulated outcome of a run that finishes — floats included,
+    [events_processed] included (elided wakes count as processed) — is
+    bit-identical to the same run with an observer attached; only
+    [static_elided_events] differs. Observers keep the engine fully
+    event-driven because they report examinations themselves; a no-op
+    [observer] is therefore the event-driven A/B baseline. See
     docs/PERFORMANCE.md §"Quasi-static execution". *)
 
 val utilization : result -> proc:int -> float
@@ -263,14 +269,13 @@ type verdict = {
 }
 
 val real_time_verdict :
-  result -> expected_frames:int -> period_s:float -> ?tolerance:float ->
-  ?allowed_leftover:int -> unit -> verdict
+  result -> expected_frames:int -> period_s:float -> ?allowed_leftover:int ->
+  unit -> verdict
 (** Did the run meet its real-time constraint? True when no emission was
     late, every sink delivered [expected_frames] end-of-frames, at most
     [allowed_leftover] items were left queued (default 0 — feedback loops
     legitimately keep their last value circulating), and steady-state frame
-    intervals stayed within [period · (1+tolerance)] (default tolerance
-    5%). *)
+    intervals stayed within [period · 1.05]. *)
 
 val pp_result : Format.formatter -> result -> unit
 

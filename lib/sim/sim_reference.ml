@@ -1,8 +1,10 @@
-(* The original polling engine, kept verbatim as the reference
-   implementation for the differential test against the event-driven
-   engine in Sim. Queue-backed channels, full rescans to fixpoint after
-   every event, fixed retry polls for blocked emitters. Do not optimise
-   this module: its value is being the known-good semantics. *)
+(* The original polling engine, kept as the reference implementation
+   for the differential test against the event-driven engine in Sim.
+   Queue-backed channels, full rescans to fixpoint after every event,
+   fixed retry polls for blocked emitters. Its semantics are those of
+   the seed engine run without placement or observers, the only way its
+   callers run it. Do not optimise this module: its value is being the
+   known-good semantics. *)
 
 open Bp_util
 module Graph = Bp_graph.Graph
@@ -17,7 +19,6 @@ type chan_rt = {
   id : int;
   queue : Item.t Queue.t;
   capacity : int;
-  mutable hops : int;
   mutable max_depth : int;
 }
 
@@ -26,7 +27,6 @@ type node_rt = {
   behaviour : Behaviour.t;
   in_chans : (string * chan_rt) list;
   out_chans : (string * chan_rt list) list;
-  proc : int option;
   mutable rt_fires : int;
   mutable rt_busy : float;
 }
@@ -53,8 +53,7 @@ type source_rt = {
 
 type event = Source_slot of source_rt | Const_emit of node_rt | Proc_free of int
 
-let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
-    ~on_push ~on_chan =
+let make_io (rt : node_rt) ~read_words ~write_words ~on_pop ~on_push =
   let find_in port =
     match List.assoc_opt port rt.in_chans with
     | Some c -> c
@@ -78,7 +77,6 @@ let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
         let item = Queue.pop c.queue in
         read_words := !read_words + Item.words item;
         on_pop item;
-        on_chan c Sim.Ch_pop;
         item);
     push =
       (fun port item ->
@@ -92,9 +90,7 @@ let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
             Queue.push item c.queue;
             if Queue.length c.queue > c.max_depth then
               c.max_depth <- Queue.length c.queue;
-            write_words := !write_words + Item.words item;
-            hop_words := !hop_words + (c.hops * Item.words item);
-            on_chan c Sim.Ch_push)
+            write_words := !write_words + Item.words item)
           cs);
     (* Allocation-naive data plane, on purpose: acquires are plain
        allocations and releases are dropped, preserving the seed engine's
@@ -109,18 +105,15 @@ let make_io (rt : node_rt) ~read_words ~write_words ~hop_words ~on_pop
         | [] -> max_int
         | cs ->
           List.fold_left
-            (fun acc c ->
-              let free = c.capacity - Queue.length c.queue in
-              if free <= 0 then on_chan c Sim.Ch_block;
-              min acc free)
+            (fun acc c -> min acc (c.capacity - Queue.length c.queue))
             max_int cs);
   }
 
-let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
-    ?(observer = fun ~time_s:_ ~proc:_ ~node:_ ~method_name:_ ~service_s:_ -> ())
-    ?(channel_observer =
-      fun ~time_s:_ ~chan_id:_ ~node:_ ~proc:_ ~event:_ ~depth:_ -> ())
-    ~graph:g ~mapping ~machine () =
+(* The same runaway guards as {!Sim.run}'s defaults. *)
+let max_time_s = 300.
+let max_events = 50_000_000
+
+let run ~graph:g ~mapping ~machine () =
   Graph.validate g;
   let pe = machine.Machine.pe in
   let chans = Hashtbl.create 64 in
@@ -131,7 +124,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
           id = c.Graph.chan_id;
           queue = Queue.create ();
           capacity = c.Graph.capacity;
-          hops = 0;
           max_depth = 0;
         })
     (Graph.channels g);
@@ -171,7 +163,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
           behaviour = n.Graph.spec.Spec.make_behaviour ();
           in_chans;
           out_chans;
-          proc = Mapping.processor_of mapping n.Graph.id;
           rt_fires = 0;
           rt_busy = 0.;
         }
@@ -185,20 +176,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
       Hashtbl.replace node_rts n.Graph.id rt)
     (Graph.nodes g);
   let node_rt id = Hashtbl.find node_rts id in
-  (match placement with
-  | None -> ()
-  | Some (p : Sim.placement_model) ->
-    let tile id =
-      match Mapping.processor_of mapping id with
-      | Some proc -> p.Sim.tile_of_proc proc
-      | None -> (0, 0)
-    in
-    List.iter
-      (fun (c : Graph.channel) ->
-        let x0, y0 = tile c.Graph.src.Graph.node in
-        let x1, y1 = tile c.Graph.dst.Graph.node in
-        (chan_rt c.Graph.chan_id).hops <- abs (x0 - x1) + abs (y0 - y1))
-      (Graph.channels g));
   let procs =
     Array.init (Mapping.processors mapping) (fun p ->
         {
@@ -214,14 +191,8 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
         })
   in
   let events : event Heap.t = Heap.create ~dummy:(Proc_free (-1)) () in
-  let hop_cycles_per_word =
-    match placement with
-    | Some p -> p.Sim.hop_cycles_per_word
-    | None -> 0.
-  in
   let step_node (rt : node_rt) =
     let read_words = ref 0 and write_words = ref 0 in
-    let hop_words = ref 0 in
     let on_pop item =
       match (rt.node.Graph.spec.Spec.role, item) with
       | Spec.Sink, Item.Ctl tok when tok.Token.kind = Token.End_of_frame ->
@@ -231,10 +202,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
         if not (Hashtbl.mem sink_first_data rt.node.Graph.id) then
           Hashtbl.replace sink_first_data rt.node.Graph.id !now
       | _ -> ()
-    in
-    let on_chan (c : chan_rt) ev =
-      channel_observer ~time_s:!now ~chan_id:c.id ~node:rt.node ~proc:rt.proc
-        ~event:ev ~depth:(Queue.length c.queue)
     in
     let on_push item =
       if rt.node.Graph.spec.Spec.role = Spec.Source then begin
@@ -251,21 +218,15 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
             Hashtbl.find frame_pending rt.node.Graph.id := true
       end
     in
-    let io =
-      make_io rt ~read_words ~write_words ~hop_words ~on_pop ~on_push ~on_chan
-    in
+    let io = make_io rt ~read_words ~write_words ~on_pop ~on_push in
     match rt.behaviour.Behaviour.try_step io with
     | None -> None
     | Some fired ->
       let read_s = Machine.read_time_s pe ~words:!read_words in
-      let write_s =
-        Machine.write_time_s pe ~words:!write_words
-        +. (float_of_int !hop_words *. hop_cycles_per_word
-           /. pe.Machine.freq_hz)
-      in
+      let write_s = Machine.write_time_s pe ~words:!write_words in
       let run_s = float_of_int fired.Behaviour.cycles *. Machine.cycle_time_s pe in
       rt.rt_fires <- rt.rt_fires + 1;
-      Some (fired, read_s, run_s, write_s)
+      Some (read_s, run_s, write_s)
   in
   let drain_sinks () =
     let progressed = ref true in
@@ -292,7 +253,7 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
           let rt = proc.kernels.(idx) in
           match step_node rt with
           | None -> attempt (i + 1)
-          | Some (fired, read_s, run_s, write_s) ->
+          | Some (read_s, run_s, write_s) ->
             let run_s =
               if proc.last_fired >= 0 && proc.last_fired <> idx then
                 run_s +. (pe.Machine.switch_cycles *. Machine.cycle_time_s pe)
@@ -300,8 +261,6 @@ let run ?(max_time_s = 300.) ?(max_events = 50_000_000) ?placement
             in
             proc.last_fired <- idx;
             let service = read_s +. run_s +. write_s in
-            observer ~time_s:!now ~proc:p ~node:rt.node
-              ~method_name:fired.Behaviour.method_name ~service_s:service;
             proc.busy_until <- !now +. service;
             proc.cursor <- (idx + 1) mod k;
             proc.p_run <- proc.p_run +. run_s;

@@ -10,30 +10,13 @@
     exists only to be compared against. *)
 
 val run :
-  ?max_time_s:float ->
-  ?max_events:int ->
-  ?placement:Sim.placement_model ->
-  ?observer:
-    (time_s:float ->
-    proc:int ->
-    node:Bp_graph.Graph.node ->
-    method_name:string ->
-    service_s:float ->
-    unit) ->
-  ?channel_observer:
-    (time_s:float ->
-    chan_id:int ->
-    node:Bp_graph.Graph.node ->
-    proc:int option ->
-    event:Sim.channel_event ->
-    depth:int ->
-    unit) ->
   graph:Bp_graph.Graph.t ->
   mapping:Mapping.t ->
   machine:Bp_machine.Machine.t ->
   unit ->
   Sim.result
-(** Same contract as {!Sim.run}, original engine. [events_processed]
-    counts this engine's own (polling) events, so it will generally
-    differ from the event-driven engine's count even when every other
-    field matches. *)
+(** Same contract as {!Sim.run} with its defaults — no NoC placement, no
+    observers, the same runaway guards — original engine.
+    [events_processed] counts this engine's own (polling) events, so it
+    will generally differ from the event-driven engine's count even when
+    every other field matches. *)

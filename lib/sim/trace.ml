@@ -24,33 +24,16 @@ let recorder () =
   (t, observer)
 
 let firings t = List.rev t.rev
-let firings_on t ~proc = List.filter (fun f -> f.proc = proc) (firings t)
 
-let summary t =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun f ->
-      let fires, time =
-        Option.value ~default:(0, 0.) (Hashtbl.find_opt tbl f.kernel)
-      in
-      Hashtbl.replace tbl f.kernel (fires + 1, time +. f.service_s))
-    (firings t);
-  Hashtbl.fold (fun k (n, s) acc -> (k, n, s) :: acc) tbl []
-  |> List.sort (fun (_, _, a) (_, _, b) -> Float.compare b a)
-
-let busiest_kernel t =
-  match summary t with (k, _, s) :: _ -> Some (k, s) | [] -> None
-
-let gantt ?(width = 72) ?from_s ?until_s t =
+let gantt t =
+  let width = 72 in
   let fs = firings t in
   match fs with
   | [] -> "(empty trace)\n"
   | _ ->
-    let t0 = Option.value from_s ~default:(List.hd fs).at_s in
+    let t0 = (List.hd fs).at_s in
     let t1 =
-      Option.value until_s
-        ~default:
-          (List.fold_left (fun acc f -> Float.max acc (f.at_s +. f.service_s)) t0 fs)
+      List.fold_left (fun acc f -> Float.max acc (f.at_s +. f.service_s)) t0 fs
     in
     let span = Float.max (t1 -. t0) 1e-12 in
     let procs = 1 + List.fold_left (fun acc f -> max acc f.proc) 0 fs in

@@ -2,9 +2,9 @@
 
     A recorder for the simulator's {!Sim.run} [observer] hook: it collects
     every kernel firing (start time, processor, kernel, method, service
-    time) and renders them as a per-processor text Gantt chart or a
-    per-kernel activity summary — the debugging view for "why is this PE
-    underutilized" questions that Figure 12 answers statically. *)
+    time) and renders them as a per-processor text Gantt chart — the
+    debugging view for "why is this PE underutilized" questions that
+    Figure 12 answers statically. *)
 
 type firing = {
   at_s : float;
@@ -30,16 +30,6 @@ val recorder :
 val firings : t -> firing list
 (** All recorded firings in time order. *)
 
-val firings_on : t -> proc:int -> firing list
-
-val busiest_kernel : t -> (string * float) option
-(** Kernel with the most accumulated service time. *)
-
-val gantt :
-  ?width:int -> ?from_s:float -> ?until_s:float -> t -> string
-(** An ASCII Gantt chart, one row per processor: each column is a time
-    slice, [#] busy, [.] idle. [width] defaults to 72 columns; the window
-    defaults to the whole trace. *)
-
-val summary : t -> (string * int * float) list
-(** Per kernel: (name, firings, total service seconds), busiest first. *)
+val gantt : t -> string
+(** An ASCII Gantt chart of the whole trace, one row per processor: each
+    of its 72 columns is a time slice, [#] busy, [.] idle. *)

@@ -29,7 +29,4 @@ module Bound = struct
     if max_per_frame < 0 then
       Bp_util.Err.invalidf "token budget must be non-negative";
     { kind; max_per_frame }
-
-  let handler_cycles_per_frame b ~handler_cycles =
-    b.max_per_frame * handler_cycles
 end

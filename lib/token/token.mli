@@ -29,7 +29,6 @@ val words : t -> int
 (** Transfer cost of a token on a channel, in words (always [1] — tokens are
     small control messages). *)
 
-val pp_kind : Format.formatter -> kind -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -42,7 +41,4 @@ module Bound : sig
   val v : kind -> max_per_frame:int -> budget
   (** Fails with {!Bp_util.Err.Invalid_parameterization} if
       [max_per_frame < 0]. *)
-
-  val handler_cycles_per_frame : budget -> handler_cycles:int -> int
-  (** Worst-case cycles per frame spent in the handler of this token kind. *)
 end

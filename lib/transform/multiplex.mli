@@ -15,14 +15,6 @@ type group_stats = {
   memory_words : int;
 }
 
-val utilization_of :
-  Bp_analysis.Dataflow.t ->
-  Bp_machine.Machine.t ->
-  Bp_graph.Graph.node_id ->
-  float
-(** Predicted steady-state utilization of one node on one PE (compute plus
-    I/O cycles over PE frequency). *)
-
 val one_to_one : Bp_graph.Graph.t -> Bp_graph.Graph.node_id list list
 (** The identity grouping: every on-chip kernel on its own processor. *)
 

@@ -1,19 +1,5 @@
-(* A monotonicized wall clock: remember the highest reading handed out and
-   never go below it. This makes interval measurements robust against
-   backward NTP steps without requiring C stubs for CLOCK_MONOTONIC.
+(* CLOCK_MONOTONIC, read through bechamel's stub: nanoseconds from an
+   arbitrary origin that no system-clock step can move backwards. *)
 
-   The high-water mark is an [Atomic.t] advanced by compare-and-set, so
-   the clock is safe to read from every domain of a [Domain_pool] — per-
-   domain task timings race on nothing, and the monotonic guarantee holds
-   process-wide, not per domain. *)
-
-let last = Atomic.make 0.
-
-let rec now_s () =
-  let t = Unix.gettimeofday () in
-  let cur = Atomic.get last in
-  if t <= cur then cur
-  else if Atomic.compare_and_set last cur t then t
-  else now_s ()
-
+let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 let elapsed_s ~since = Float.max 0. (now_s () -. since)

@@ -2,24 +2,18 @@
 
     [Unix.gettimeofday] follows the system clock, which NTP may step
     backwards; naive [t1 -. t0] differences can then go negative, which
-    poisons timing tables and trace exports. The stdlib does not expose
-    [CLOCK_MONOTONIC] without C stubs, so this module monotonicizes the
-    wall clock instead: {!now_s} never returns a value smaller than any
-    value it has already returned, so durations measured between two
-    {!now_s} readings are never negative (a backward step reads as a
-    zero-length interval, a forward step passes through unchanged).
-
-    The high-water mark is atomic, so the guarantee is process-wide and
-    holds across {!Domain_pool} workers: readings taken on different
-    domains never order backwards either.
+    poisons timing tables and trace exports. This module reads
+    [CLOCK_MONOTONIC] instead (bechamel's [Monotonic_clock] stub, in
+    nanoseconds), which never steps and is shared by every domain, so
+    readings taken on different {!Domain_pool} workers never order
+    backwards either.
 
     All compile-pass timings ({!Bp_compiler.Pass}) and all
     {!Domain_pool} task timings read this clock. *)
 
 val now_s : unit -> float
-(** The current time in seconds. Non-decreasing across calls within the
-    process; the absolute origin is the Unix epoch (whatever the system
-    clock claimed at the highest reading so far). *)
+(** The current time in seconds from an arbitrary fixed origin (not the
+    Unix epoch). Non-decreasing across calls within the process. *)
 
 val elapsed_s : since:float -> float
 (** [elapsed_s ~since] is [now_s () -. since], clamped to be

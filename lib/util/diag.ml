@@ -32,17 +32,7 @@ let addf b severity ~pass ?subject fmt =
   Format.kasprintf (fun message -> add b (v severity ~pass ?subject message)) fmt
 
 let list b = List.rev b.rev
-let count b = b.n
 let errors ds = List.filter (fun d -> d.severity = Error) ds
-
-let worst ds =
-  List.fold_left
-    (fun acc d ->
-      match (acc, d.severity) with
-      | Some Error, _ | _, Error -> Some Error
-      | Some Warning, _ | _, Warning -> Some Warning
-      | _ -> Some Info)
-    None ds
 
 let subject_string = function
   | Whole_graph -> ""

@@ -53,17 +53,10 @@ val addf :
 val list : buffer -> t list
 (** All diagnostics, in insertion order. *)
 
-val count : buffer -> int
-(** Number accumulated so far — passes snapshot this to detect
-    diagnostics added on their watch. *)
-
 (** {1 Queries and rendering} *)
 
 val errors : t list -> t list
 (** The error-severity subset, order preserved. *)
-
-val worst : t list -> severity option
-(** The highest severity present, [None] on an empty list. *)
 
 val to_string : t -> string
 (** One line: ["error[align] kernel '3x3 Median': ..."]. *)

@@ -122,7 +122,7 @@ let worker_loop t w =
 let create ~domains ~resource () =
   if domains < 1 then
     invalid_arg
-      (Printf.sprintf "Domain_pool.create: domains must be >= 1, got %d"
+      (Printf.sprintf "Domain_pool.with_pool: domains must be >= 1, got %d"
          domains);
   let t =
     {

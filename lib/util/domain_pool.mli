@@ -18,7 +18,7 @@
     lock-free deque.
 
     Each worker owns one ['r] {b resource}, created by the [resource]
-    factory when the pool is created and handed to every task that
+    factory when the pool starts and handed to every task that
     worker runs. The sweep layer instantiates ['r] with a chunk pool
     ({!Bp_image.Pool.t}, which is not domain-safe) so each domain has
     its own — the per-domain pool-ownership rule of docs/PARALLELISM.md.
@@ -36,15 +36,6 @@ type stats = {
   wall_s : float;  (** Wall seconds this domain spent inside tasks. *)
   steals : int;  (** Tasks this domain took from a sibling's queue. *)
 }
-
-val create : domains:int -> resource:(int -> 'r) -> unit -> 'r t
-(** [create ~domains ~resource ()] starts [domains] worker domains
-    ([domains >= 2]; the caller only coordinates), each with
-    [resource i] ([i] in [0 .. domains-1]) built eagerly before any
-    task runs, so ownership is pinned from the first task on.
-    [domains = 1] is the inline path: no domain is spawned and [map]
-    runs tasks on the caller. Raises [Invalid_argument] if
-    [domains < 1]. *)
 
 val domains : _ t -> int
 (** The worker count the pool was created with. *)
@@ -65,7 +56,8 @@ val map : 'r t -> (domain:int -> 'r -> 'a -> 'b) -> 'a list -> 'b list
     batch. *)
 
 val stats : _ t -> stats list
-(** Per-domain counters, cumulative since [create], in domain order. *)
+(** Per-domain counters, cumulative since the pool started, in domain
+    order. *)
 
 val resources : 'r t -> 'r list
 (** Each worker's resource, in domain order. Inspect between batches
@@ -73,9 +65,13 @@ val resources : 'r t -> 'r list
     (the one sanctioned use is read-only stats such as
     {!Bp_image.Pool.stats}). *)
 
-val shutdown : _ t -> unit
-(** Wait for any in-flight batch, stop the workers, and join them.
-    Idempotent; [map] after [shutdown] raises [Invalid_argument]. *)
-
 val with_pool : domains:int -> resource:(int -> 'r) -> ('r t -> 'a) -> 'a
-(** [create], apply, and [shutdown] (also on exception). *)
+(** [with_pool ~domains ~resource f] starts the pool, applies [f] to it,
+    then waits for any in-flight batch, stops the workers and joins them
+    — also when [f] raises. [domains >= 2] spawns that many worker
+    domains (the caller only coordinates), each with [resource i] ([i]
+    in [0 .. domains-1]) built eagerly before any task runs, so
+    ownership is pinned from the first task on. [domains = 1] is the
+    inline path: no domain is spawned and [map] runs tasks on the
+    caller. Raises [Invalid_argument] if [domains < 1], and from [map]
+    on a pool used after [f] returned. *)

@@ -2,12 +2,6 @@ let mean = function
   | [] -> 0.
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let geomean = function
-  | [] -> 0.
-  | xs ->
-    let logs = List.map log xs in
-    exp (List.fold_left ( +. ) 0. logs /. float_of_int (List.length xs))
-
 let minimum = function
   | [] -> invalid_arg "Stats.minimum: empty list"
   | x :: xs -> List.fold_left min x xs

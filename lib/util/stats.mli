@@ -3,9 +3,6 @@
 val mean : float list -> float
 (** Arithmetic mean; [0.] on the empty list. *)
 
-val geomean : float list -> float
-(** Geometric mean of positive values; [0.] on the empty list. *)
-
 val minimum : float list -> float
 (** Smallest element. Raises [Invalid_argument] on the empty list. *)
 

@@ -454,34 +454,7 @@ let test_pp_smoke () =
   (* Formatting surfaces stay stable and total. *)
   Alcotest.(check string) "window" "(5x5)[1,1]@[2.0,2.0]"
     (Window.to_string (Conv.input_window ~w:5 ~h:5));
-  Alcotest.(check string) "rate" "30Hz" (Rate.to_string (Rate.hz 30.));
-  Alcotest.(check bool) "machine" true
-    (Harness.contains
-       (Format.asprintf "%a" Machine.pp Machine.default)
-       "64 PEs");
-  Alcotest.(check bool) "stream" true
-    (Harness.contains
-       (Format.asprintf "%a" Stream.pp
-          (Stream.source_stream ~frame:(Size.v 4 3) ~rate:(Rate.hz 5.)
-             ~origin:0))
-       "(4x3)")
-
-let test_trace_window_args () =
-  let inst =
-    Apps.Histogram_app.v ~frame:(Size.v 6 5) ~rate:(Rate.hz 20.) ~n_frames:1 ()
-  in
-  let g = inst.App.graph in
-  let trace, observer = Trace.recorder () in
-  ignore
-    (Sim.run ~observer ~graph:g ~mapping:(Mapping.one_to_one g)
-       ~machine:Machine.default ());
-  (* A window that excludes all firings renders as all idle. *)
-  let late = Trace.gantt ~width:20 ~from_s:10. ~until_s:11. trace in
-  Alcotest.(check bool) "no busy cells out of window" false
-    (Harness.contains late "#");
-  let full = Trace.gantt ~width:20 trace in
-  Alcotest.(check bool) "busy cells in full window" true
-    (Harness.contains full "#")
+  Alcotest.(check string) "rate" "30Hz" (Rate.to_string (Rate.hz 30.))
 
 let test_rate_search_top_fits () =
   (* When even the highest probe fits, the search takes it directly. *)
@@ -501,10 +474,9 @@ let test_rate_search_top_fits () =
     g
   in
   let r =
-    Rate_search.search ~lo_hz:1. ~hi_hz:50. ~iterations:4
-      ~machine:Machine.default ~max_pes:4 build
+    Rate_search.search ~iterations:4 ~machine:Machine.default ~max_pes:4 build
   in
-  Alcotest.(check (float 1e-9)) "takes the ceiling" 50.
+  Alcotest.(check (float 1e-9)) "takes the ceiling" 1000.
     r.Rate_search.best_rate_hz;
   Alcotest.(check int) "only two probes" 2
     (List.length r.Rate_search.probes)
@@ -526,7 +498,6 @@ let suite =
   suite
   @ [
       Alcotest.test_case "pp: smoke" `Quick test_pp_smoke;
-      Alcotest.test_case "trace: window args" `Quick test_trace_window_args;
       Alcotest.test_case "rate search: ceiling" `Quick
         test_rate_search_top_fits;
       Alcotest.test_case "dot: pad shape" `Quick test_dot_pad_shape;

@@ -79,10 +79,10 @@ let test_rate_search_finds_frontier () =
       .App.graph
   in
   let r =
-    Rate_search.search ~lo_hz:5. ~hi_hz:400. ~iterations:10
-      ~machine:Machine.default ~max_pes:6 build
+    Rate_search.search ~iterations:10 ~machine:Machine.default ~max_pes:6
+      build
   in
-  Alcotest.(check bool) "found a rate" true (r.Rate_search.best_rate_hz > 5.);
+  Alcotest.(check bool) "found a rate" true (r.Rate_search.best_rate_hz > 1.);
   Alcotest.(check bool) "within budget" true (r.Rate_search.best_pes <= 6);
   (* The found rate really is feasible and ~25% beyond is not, for this
      budget: re-check both ends by compiling directly. *)
@@ -109,8 +109,8 @@ let test_rate_search_infeasible () =
   in
   (* One PE can never hold the whole pipeline. *)
   let r =
-    Rate_search.search ~lo_hz:1. ~hi_hz:10. ~iterations:3
-      ~machine:Machine.default ~max_pes:1 build
+    Rate_search.search ~iterations:3 ~machine:Machine.default ~max_pes:1
+      build
   in
   Alcotest.(check (float 0.)) "no feasible rate" 0. r.Rate_search.best_rate_hz
 
@@ -199,11 +199,8 @@ let test_energy_breakdown () =
   Alcotest.(check bool) "compute positive" true (e.Energy.compute_uj > 0.);
   Alcotest.(check bool) "channel positive" true (e.Energy.channel_uj > 0.);
   Alcotest.(check bool) "static positive" true (e.Energy.static_uj > 0.);
-  Alcotest.(check (float 1e-9)) "network zero without placement" 0.
-    e.Energy.network_uj;
   Alcotest.(check (float 1e-6)) "total sums" e.Energy.total_uj
-    (e.Energy.compute_uj +. e.Energy.channel_uj +. e.Energy.static_uj
-   +. e.Energy.network_uj)
+    (e.Energy.compute_uj +. e.Energy.channel_uj +. e.Energy.static_uj)
 
 let test_energy_greedy_saves_static () =
   (* The same work on fewer processors burns the same active energy but
@@ -225,18 +222,6 @@ let test_energy_greedy_saves_static () =
     < 0.05 *. e_1to1.Energy.compute_uj);
   Alcotest.(check bool) "less total energy" true
     (e_gm.Energy.total_uj < e_1to1.Energy.total_uj)
-
-let test_energy_of_placed_run () =
-  let _, compiled = compiled_example () in
-  let mapping = Plan.mapping compiled ~policy:Plan.One_to_one in
-  let placement = Placement.place compiled.Pipeline.analysis mapping in
-  let result = Sim.run_plan ~policy:Plan.One_to_one compiled () in
-  let e =
-    Energy.of_result ~machine:compiled.Pipeline.machine
-      ~placement_cost_word_hops_per_frame:placement.Placement.cost ~frames:2
-      result
-  in
-  Alcotest.(check bool) "network energy counted" true (e.Energy.network_uj > 0.)
 
 (* ---- traces -------------------------------------------------------------- *)
 
@@ -278,22 +263,18 @@ let test_trace_records_firings () =
 
 let test_trace_summary_and_gantt () =
   let trace, _ = traced_run () in
-  (match Trace.busiest_kernel trace with
-  | Some (name, s) ->
-    Alcotest.(check string) "histogram dominates" "Histogram" name;
-    Alcotest.(check bool) "positive time" true (s > 0.)
-  | None -> Alcotest.fail "expected firings");
-  let gantt = Trace.gantt ~width:40 trace in
+  let gantt = Trace.gantt trace in
   Alcotest.(check bool) "one row per PE" true (contains gantt "PE0");
   Alcotest.(check bool) "busy cells" true (contains gantt "#");
-  let per_proc = Trace.firings_on trace ~proc:0 in
-  Alcotest.(check bool) "proc filter" true
-    (List.for_all (fun f -> f.Trace.proc = 0) per_proc)
+  Alcotest.(check bool) "every firing on a charted PE" true
+    (List.for_all
+       (fun f -> contains gantt (Printf.sprintf "PE%-3d |" f.Trace.proc))
+       (Trace.firings trace))
 
 let test_trace_empty () =
   let trace, _ = Trace.recorder () in
   Alcotest.(check string) "empty gantt" "(empty trace)\n" (Trace.gantt trace);
-  Alcotest.(check bool) "no busiest" true (Trace.busiest_kernel trace = None)
+  Alcotest.(check bool) "no firings" true (Trace.firings trace = [])
 
 let suite =
   [
@@ -314,8 +295,6 @@ let suite =
     Alcotest.test_case "energy: breakdown" `Quick test_energy_breakdown;
     Alcotest.test_case "energy: greedy saves static" `Quick
       test_energy_greedy_saves_static;
-    Alcotest.test_case "energy: with placement" `Quick
-      test_energy_of_placed_run;
     Alcotest.test_case "trace: records firings" `Quick
       test_trace_records_firings;
     Alcotest.test_case "trace: summary and gantt" `Quick

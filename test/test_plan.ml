@@ -12,7 +12,8 @@
      keeps its class, the caller's diagnostic buffer holds an error
      entry, and the pass manager records the partial timing of the very
      pass that raised;
-   - the pass clock is monotonic. *)
+   - the pass clock is monotonic, and the pass timings add up to the
+     pass manager's call, hooks excluded. *)
 
 open Block_parallel
 open Harness
@@ -240,10 +241,18 @@ let test_invariant_failure_names_both () =
 let test_wrap_err_preserves_class () =
   List.iter
     (fun e ->
-      let w = Pass.wrap_err ~pass:"p" e in
-      Alcotest.check err_kind "same constructor" e w;
-      Alcotest.(check bool) "prefixed" true
-        (contains (Err.to_string w) "pass p:"))
+      match
+        Err.guard (fun () ->
+            Pass.run_all
+              ~graph:(fun () -> Graph.create ())
+              ~diags:(Diag.buffer ()) ~timings:(ref []) ()
+              [ Pass.v "p" (fun () -> Err.fail e) ])
+      with
+      | Ok () -> Alcotest.fail "expected the pass to fail"
+      | Error w ->
+        Alcotest.check err_kind "same constructor" e w;
+        Alcotest.(check bool) "prefixed" true
+          (contains (Err.to_string w) "pass p:"))
     [
       Err.Invalid_parameterization "x";
       Err.Graph_malformed "x";
@@ -304,6 +313,50 @@ let test_greedy_overflow_is_recorded_not_raised () =
   Alcotest.(check bool) "warning diagnostic from the map pass" true
     (warnings <> [])
 
+(* Busy-wait [s] seconds of monotonic time. *)
+let spin s =
+  let t0 = Clock.now_s () in
+  while Clock.elapsed_s ~since:t0 < s do
+    ()
+  done
+
+(* The pass windows tile [run_all]: with a graph accessor that costs
+   ~2 ms per call, the timings still add up to the call, and a slow
+   [after_pass] hook is left out of every window. *)
+let test_timings_tile_run_all () =
+  let g = Graph.create () in
+  let graph () =
+    spin 0.002;
+    g
+  in
+  let passes = List.map (fun n -> Pass.v n (fun () -> ())) [ "a"; "b"; "c" ] in
+  let timed ?after_pass () =
+    let timings = ref [] in
+    let t0 = Clock.now_s () in
+    Pass.run_all ~graph ~diags:(Diag.buffer ()) ~timings ?after_pass ()
+      passes;
+    let wall = Clock.elapsed_s ~since:t0 in
+    (wall, List.fold_left (fun a (t : Pass.timing) -> a +. t.Pass.wall_s) 0.
+             !timings)
+  in
+  let wall, sum = timed () in
+  if sum < 0.9 *. wall then
+    Alcotest.failf "pass timings sum to %.3f ms of a %.3f ms call"
+      (sum *. 1e3) (wall *. 1e3);
+  let hook_s = ref 0. in
+  let after_pass ~pass:_ () =
+    let t0 = Clock.now_s () in
+    spin 0.005;
+    hook_s := !hook_s +. Clock.elapsed_s ~since:t0
+  in
+  let wall, sum = timed ~after_pass () in
+  if sum +. !hook_s > wall +. 1e-6 then
+    Alcotest.failf "hook time counted: %.3f + %.3f ms hooks in %.3f ms"
+      (sum *. 1e3) (!hook_s *. 1e3) (wall *. 1e3);
+  if sum < 0.9 *. (wall -. !hook_s) then
+    Alcotest.failf "pass timings sum to %.3f ms of %.3f ms outside hooks"
+      (sum *. 1e3) ((wall -. !hook_s) *. 1e3)
+
 let test_clock_monotonic () =
   let prev = ref (Clock.now_s ()) in
   for _ = 1 to 10_000 do
@@ -343,6 +396,8 @@ let suite =
     Alcotest.test_case "greedy overflow recorded, not raised" `Quick
       test_greedy_overflow_is_recorded_not_raised;
     Alcotest.test_case "pass clock is monotonic" `Quick test_clock_monotonic;
+    Alcotest.test_case "pass timings tile run_all" `Quick
+      test_timings_tile_run_all;
     Alcotest.test_case "--explain rendering covers the plan" `Quick
       test_explain_renders;
   ]

@@ -219,7 +219,9 @@ let test_observed_allocation_budget () =
   (* One warmup run to fault in code paths. *)
   ignore (observed_run ());
   let m = Metrics.create () in
-  let r = Metrics.record_gc_around m observed_run in
+  let before = Metrics.gc_snapshot () in
+  let r = observed_run () in
+  Metrics.record_gc m ~before ~after:(Metrics.gc_snapshot ()) ();
   let words = Option.get (Metrics.gauge m "gc.allocated_words") in
   let per_event = words /. float_of_int r.Sim.events_processed in
   if per_event > 150. then

@@ -1,15 +1,18 @@
 (* Wake elision, the engine's quasi-static mode.
 
-   Pins the exactness claims of the elision switch ([Plan.run_plan
-   ?elide], [Sweep.simulate_jobs ?elide]):
-   - a run with elision on is bit-exact against the same plan with
-     elision off — every result field compared, floats, event counts and
-     pool counters included; only [static_elided_events] may differ;
-     every suite run drains;
+   The engine elides exactly when no observer is attached, so a run with
+   a no-op observer is the event-driven baseline. Pins the exactness
+   claims of that choice:
+   - an unobserved run is bit-exact against the same plan run with a
+     no-op observer — every result field compared, floats, event counts
+     and pool counters included; only [static_elided_events] may differ,
+     and it is 0 under observation; every suite run drains;
    - every suite run elides at least a quarter of its events — without
      that floor the differential could pass while comparing two
      event-driven runs;
-   - the same holds for runs executed by the sweep driver.
+   - the runaway cap [max_events] cuts both ways alike: an unobserved and
+     an observed run time out at the same caps, and neither reports more
+     than the cap plus the event that hit it.
 
    The engine's per-node firing counts are pinned separately, against
    [Sim_reference], in test/test_differential.ml. *)
@@ -26,9 +29,13 @@ let compile_suite_entry label =
    included). *)
 let strip_elided (r : Sim.result) = { r with Sim.static_elided_events = 0 }
 
-(* Each entry runs two ways, elision on and off; they agree on every
-   field but the elided-wake count. The allocation-naive engine is
-   [Sim_reference], held to the pooled engine field by field in
+(* Observes nothing, but its presence keeps the engine event-driven. *)
+let no_op_observer ~time_s:_ ~proc:_ ~node:_ ~method_name:_ ~service_s:_ = ()
+
+(* Each entry runs two ways, unobserved (elided) and with a no-op
+   observer (event-driven); they agree on every field but the
+   elided-wake count. The allocation-naive engine is [Sim_reference],
+   held to the pooled engine field by field in
    test/test_differential.ml. *)
 let test_static_vs_dynamic_differential () =
   List.iter
@@ -38,12 +45,12 @@ let test_static_vs_dynamic_differential () =
           let tag =
             Printf.sprintf "%s/%s" label (Plan.policy_name policy)
           in
-          let run ~elide =
+          let run ?observer () =
             let _, plan = compile_suite_entry label in
-            Plan.run_plan ~elide ~policy plan ()
+            Plan.run_plan ?observer ~policy plan ()
           in
-          let dyn = run ~elide:false in
-          let st = run ~elide:true in
+          let dyn = run ~observer:no_op_observer () in
+          let st = run () in
           Alcotest.(check bool)
             (tag ^ ": every non-telemetry result field bit-identical")
             true
@@ -51,7 +58,7 @@ let test_static_vs_dynamic_differential () =
           Alcotest.(check int) (tag ^ ": every run drains") 0
             dyn.Sim.leftover_items;
           Alcotest.(check int)
-            (tag ^ ": elision off elides nothing")
+            (tag ^ ": observation elides nothing")
             0 dyn.Sim.static_elided_events;
           let elided =
             float_of_int st.Sim.static_elided_events
@@ -62,42 +69,67 @@ let test_static_vs_dynamic_differential () =
         [ Plan.One_to_one; Plan.Greedy ])
     Apps.Suite.labels
 
-(* The differential must also hold when runs execute under the sweep
-   driver (the sharded path reuses one chunk pool per domain, so the
-   [pool] telemetry legitimately differs between batches and is
-   normalized out along with the elided-wake count). *)
-let test_sweep_static_differential () =
-  let e = Apps.Suite.by_label "1" in
-  let jobs =
-    List.map
-      (fun policy ->
-        {
-          Sweep.label = "1";
-          machine = e.Apps.Suite.machine;
-          policy;
-          build = (fun () -> (e.Apps.Suite.build ()).App.graph);
-        })
-      [ Plan.One_to_one; Plan.Greedy ]
+(* One run of a plan under a cap, observed or not. Each run builds fresh
+   behaviours, so a plan can be run again. *)
+let capped_run plan ~policy ?observer ~max_events () =
+  Sim.run ?observer ~max_events ~graph:plan.Plan.graph
+    ~mapping:(Plan.mapping plan ~policy) ~machine:plan.Plan.machine ()
+
+(* Run [plan] uncapped to learn its event count [n], then at each cap
+   [caps n] unobserved and observed: both time out exactly when the cap
+   is below [n], neither reports more than [cap + 1] events, and a run
+   the cap does not cut is bit-identical across the two. *)
+let check_caps tag plan ~policy caps =
+  let n =
+    (capped_run plan ~policy ~max_events:max_int ()).Sim.events_processed
   in
-  let sig_of (outcomes : Sweep.outcome list) =
-    List.map
-      (fun (o : Sweep.outcome) ->
-        ( o.Sweep.o_label,
-          Plan.policy_name o.Sweep.o_policy,
-          { (strip_elided o.Sweep.o_result) with Sim.pool = None } ))
-      outcomes
-  in
-  Sweep.with_pool (fun pool ->
-      let st = sig_of (Sweep.simulate_jobs pool jobs) in
-      let dyn = sig_of (Sweep.simulate_jobs ~elide:false pool jobs) in
+  List.iter
+    (fun cap ->
+      let tag = Printf.sprintf "%s cap %d of %d" tag cap n in
+      let st = capped_run plan ~policy ~max_events:cap () in
+      let dyn =
+        capped_run plan ~policy ~observer:no_op_observer ~max_events:cap ()
+      in
+      Alcotest.(check bool) (tag ^ ": cut iff over the cap") (cap < n)
+        dyn.Sim.timed_out;
       Alcotest.(check bool)
-        "sweep outcomes bit-identical with elision on and off" true
-        (st = dyn))
+        (tag ^ ": unobserved run agrees")
+        dyn.Sim.timed_out st.Sim.timed_out;
+      List.iter
+        (fun (side, (r : Sim.result)) ->
+          if r.Sim.events_processed > cap + 1 then
+            Alcotest.failf "%s: %s run reports %d events" tag side
+              r.Sim.events_processed)
+        [ ("unobserved", st); ("observed", dyn) ];
+      if not st.Sim.timed_out then
+        Alcotest.(check bool) (tag ^ ": uncut runs bit-identical") true
+          (strip_elided dyn = strip_elided st))
+    (caps n)
+
+let test_event_cap_agrees () =
+  List.iter
+    (fun label ->
+      let _, plan = compile_suite_entry label in
+      List.iter
+        (fun policy ->
+          check_caps
+            (Printf.sprintf "%s/%s" label (Plan.policy_name policy))
+            plan ~policy
+            (fun n -> [ n / 3; n / 2; n - 1; n; n + 1 ]))
+        [ Plan.One_to_one; Plan.Greedy ])
+    Apps.Suite.labels;
+  let inst =
+    Apps.Image_pipeline.v ~frame:(Size.v 24 18) ~rate:(Rate.hz 30.)
+      ~n_frames:2 ()
+  in
+  let plan = Pipeline.compile ~machine:Machine.default inst.App.graph in
+  check_caps "image-pipeline 24x18" plan ~policy:Plan.One_to_one (fun n ->
+      [ 4000; n / 4; n / 2; (3 * n) / 4; n - 1; n; n + 1 ])
 
 let suite =
   [
     Alcotest.test_case "static vs dynamic, whole suite, both policies" `Slow
       test_static_vs_dynamic_differential;
-    Alcotest.test_case "sweep path bit-identical with static on/off" `Quick
-      test_sweep_static_differential;
+    Alcotest.test_case "event cap cuts observed and unobserved alike" `Slow
+      test_event_cap_agrees;
   ]

@@ -215,7 +215,6 @@ let test_heap_ordering () =
     (fun (t, v) -> Bp_sim.Heap.push h ~time:t v)
     [ (3., "c"); (1., "a"); (2., "b"); (1., "a2") ];
   Alcotest.(check int) "size" 4 (Bp_sim.Heap.size h);
-  Alcotest.(check (option (float 0.))) "peek" (Some 1.) (Bp_sim.Heap.peek_time h);
   let order =
     List.init 4 (fun _ ->
         match Bp_sim.Heap.pop h with Some (_, v) -> v | None -> "?")
@@ -277,7 +276,6 @@ let test_ring_wraparound () =
   Alcotest.check_raises "pop empty" (Invalid_argument "Ring.pop: empty")
     (fun () -> ignore (Ring.pop r));
   Ring.push r 1;
-  Alcotest.(check (list int)) "to_list" [ 1 ] (Ring.to_list r);
   Alcotest.(check int) "peek" 1 (Ring.peek r);
   Ring.push r 2;
   Ring.push r 3;
@@ -388,8 +386,7 @@ let test_rate_scaling_on_fast_pe () =
          ~n_frames:1 ())
         .App.graph
     in
-    (Rate_search.search ~lo_hz:5. ~hi_hz:2000. ~iterations:10 ~machine
-       ~max_pes:4 b)
+    (Rate_search.search ~iterations:10 ~machine ~max_pes:4 b)
       .Rate_search.best_rate_hz
   in
   let slow = build Machine.default in

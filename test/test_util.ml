@@ -84,7 +84,6 @@ let test_prng_shuffle_permutes () =
 let test_stats_basics () =
   Alcotest.(check (float 1e-9)) "mean" 2. (Bp_util.Stats.mean [ 1.; 2.; 3. ]);
   Alcotest.(check (float 1e-9)) "mean empty" 0. (Bp_util.Stats.mean []);
-  Alcotest.(check (float 1e-9)) "geomean" 2. (Bp_util.Stats.geomean [ 1.; 4. ]);
   Alcotest.(check (float 1e-9)) "min" 1. (Bp_util.Stats.minimum [ 3.; 1.; 2. ]);
   Alcotest.(check (float 1e-9)) "max" 3. (Bp_util.Stats.maximum [ 3.; 1.; 2. ]);
   Alcotest.(check int) "clamp lo" 0 (Bp_util.Stats.clamp ~lo:0 ~hi:5 (-3));
